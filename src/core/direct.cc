@@ -37,8 +37,8 @@ class CountingSide {
       auto [j, y1] = worklist_.back();
       worklist_.pop_back();
       if (j <= 0) continue;
-      for (uint32_t id : std::vector<uint32_t>(r_->Probe({1}, {y1}))) {
-        Add(j - 1, r_->PeekUnchecked(id)[0]);
+      for (uint32_t id : r_->ProbeColumn(1, y1)) {
+        Add(j - 1, r_->RowUnchecked(id)[0]);
       }
     }
   }
@@ -80,11 +80,11 @@ class MagicSide {
       auto [x1, y1] = worklist_.back();
       worklist_.pop_back();
       // Parents of x1 through L (probe on the second column).
-      for (uint32_t id : std::vector<uint32_t>(l_->Probe({1}, {x1}))) {
-        Value x = l_->PeekUnchecked(id)[0];
+      for (uint32_t id : l_->ProbeColumn(1, x1)) {
+        Value x = l_->RowUnchecked(id)[0];
         if (parent_filter_->count(x) == 0) continue;
-        for (uint32_t rid : std::vector<uint32_t>(r_->Probe({1}, {y1}))) {
-          Add(x, r_->PeekUnchecked(rid)[0]);
+        for (uint32_t rid : r_->ProbeColumn(1, y1)) {
+          Add(x, r_->RowUnchecked(rid)[0]);
         }
       }
     }
@@ -192,12 +192,12 @@ Result<MethodRun> DirectCounting(Database* db, const std::string& l,
           std::to_string(options.max_memory_bytes) + " bytes)");
     }
     // Exit rule: P_C(J, Y) :- CS(J, X), E(X, Y).
-    for (uint32_t id : std::vector<uint32_t>(rel.e->Probe({0}, {x}))) {
-      pc.Add(j, rel.e->PeekUnchecked(id)[1]);
+    for (uint32_t id : rel.e->ProbeColumn(0, x)) {
+      pc.Add(j, rel.e->RowUnchecked(id)[1]);
     }
     // CS(J+1, X1) :- CS(J, X), L(X, X1).
-    for (uint32_t id : std::vector<uint32_t>(rel.l->Probe({0}, {x}))) {
-      Value x1 = rel.l->PeekUnchecked(id)[1];
+    for (uint32_t id : rel.l->ProbeColumn(0, x)) {
+      Value x1 = rel.l->RowUnchecked(id)[1];
       if (cs.emplace(j + 1, x1).second) frontier.emplace_back(j + 1, x1);
     }
   }
@@ -224,8 +224,8 @@ Result<MethodRun> DirectMagicSets(Database* db, const std::string& l,
   while (!frontier.empty()) {
     Value x = frontier.front();
     frontier.pop_front();
-    for (uint32_t id : std::vector<uint32_t>(rel.l->Probe({0}, {x}))) {
-      Value x1 = rel.l->PeekUnchecked(id)[1];
+    for (uint32_t id : rel.l->ProbeColumn(0, x)) {
+      Value x1 = rel.l->RowUnchecked(id)[1];
       if (ms.insert(x1).second) frontier.push_back(x1);
     }
   }
@@ -234,8 +234,8 @@ Result<MethodRun> DirectMagicSets(Database* db, const std::string& l,
   MagicSide pm(rel.l, rel.r, &ms);
   // Exit rule: P_M(X, Y) :- MS(X), E(X, Y).
   for (Value x : ms) {
-    for (uint32_t id : std::vector<uint32_t>(rel.e->Probe({0}, {x}))) {
-      pm.Add(x, rel.e->PeekUnchecked(id)[1]);
+    for (uint32_t id : rel.e->ProbeColumn(0, x)) {
+      pm.Add(x, rel.e->RowUnchecked(id)[1]);
     }
   }
   pm.Propagate();
@@ -289,16 +289,16 @@ Result<MethodRun> DirectMagicCounting(Database* db, const std::string& l,
   if (mode == McMode::kIndependent) {
     // P_C(J, Y) :- RC(J, X), E(X, Y).
     for (auto [j, x] : rc) {
-      for (uint32_t id : std::vector<uint32_t>(rel.e->Probe({0}, {x}))) {
-        pc.Add(j, rel.e->PeekUnchecked(id)[1]);
+      for (uint32_t id : rel.e->ProbeColumn(0, x)) {
+        pc.Add(j, rel.e->RowUnchecked(id)[1]);
       }
     }
     pc.Descend();
     // Magic side over RM exits, recursing through all of MS.
     MagicSide pm(rel.l, rel.r, &ms_set);
     for (Value x : rm_set) {
-      for (uint32_t id : std::vector<uint32_t>(rel.e->Probe({0}, {x}))) {
-        pm.Add(x, rel.e->PeekUnchecked(id)[1]);
+      for (uint32_t id : rel.e->ProbeColumn(0, x)) {
+        pm.Add(x, rel.e->RowUnchecked(id)[1]);
       }
     }
     pm.Propagate();
@@ -311,29 +311,29 @@ Result<MethodRun> DirectMagicCounting(Database* db, const std::string& l,
     // Integrated: the magic side recurses only inside RM ...
     MagicSide pm(rel.l, rel.r, &rm_set);
     for (Value x : rm_set) {
-      for (uint32_t id : std::vector<uint32_t>(rel.e->Probe({0}, {x}))) {
-        pm.Add(x, rel.e->PeekUnchecked(id)[1]);
+      for (uint32_t id : rel.e->ProbeColumn(0, x)) {
+        pm.Add(x, rel.e->RowUnchecked(id)[1]);
       }
     }
     pm.Propagate();
     // ... and its results transfer into the counting side:
     // P_C(J, Y) :- RC(J, X), L(X, X1), P_M(X1, Y1), R(Y, Y1).
     for (auto [j, x] : rc) {
-      for (uint32_t id : std::vector<uint32_t>(rel.l->Probe({0}, {x}))) {
-        Value x1 = rel.l->PeekUnchecked(id)[1];
+      for (uint32_t id : rel.l->ProbeColumn(0, x)) {
+        Value x1 = rel.l->RowUnchecked(id)[1];
         const std::vector<Value>* results = pm.ResultsFor(x1);
         if (results == nullptr) continue;
         for (Value y1 : *results) {
-          for (uint32_t rid : std::vector<uint32_t>(rel.r->Probe({1}, {y1}))) {
-            pc.Add(j, rel.r->PeekUnchecked(rid)[0]);
+          for (uint32_t rid : rel.r->ProbeColumn(1, y1)) {
+            pc.Add(j, rel.r->RowUnchecked(rid)[0]);
           }
         }
       }
     }
     // P_C(J, Y) :- RC(J, X), E(X, Y).
     for (auto [j, x] : rc) {
-      for (uint32_t id : std::vector<uint32_t>(rel.e->Probe({0}, {x}))) {
-        pc.Add(j, rel.e->PeekUnchecked(id)[1]);
+      for (uint32_t id : rel.e->ProbeColumn(0, x)) {
+        pc.Add(j, rel.e->RowUnchecked(id)[1]);
       }
     }
     pc.Descend();

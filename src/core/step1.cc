@@ -54,8 +54,8 @@ Step1Result BasicSingleFixpoint(Database* db, const Relation& l, Value a,
     ++levels;
     std::vector<Value> next;
     for (Value x : frontier) {
-      for (uint32_t id : l.Probe({0}, {x})) {
-        Value x1 = l.PeekUnchecked(id)[1];
+      for (uint32_t id : l.ProbeColumn(0, x)) {
+        Value x1 = l.RowUnchecked(id)[1];
         auto [it, fresh] = info.emplace(x1, NodeInfo{});
         NodeInfo& ni = it->second;
         if (fresh) {
@@ -135,8 +135,8 @@ Step1Result MultipleFixpoint(Database* db, const Relation& l, Value a,
     ++levels;
     std::vector<Value> next;
     for (Value x : frontier) {
-      for (uint32_t id : l.Probe({0}, {x})) {
-        Value x1 = l.PeekUnchecked(id)[1];
+      for (uint32_t id : l.ProbeColumn(0, x)) {
+        Value x1 = l.RowUnchecked(id)[1];
         auto [it, fresh] = info.emplace(x1, NodeInfo{});
         NodeInfo& ni = it->second;
         int64_t idx = level + 1;
@@ -207,8 +207,8 @@ Step1Result RecurringFixpoint(Database* db, const Relation& l, Value a,
     ++levels;
     std::vector<Value> next;
     for (Value x : frontier) {
-      for (uint32_t id : l.Probe({0}, {x})) {
-        Value x1 = l.PeekUnchecked(id)[1];
+      for (uint32_t id : l.ProbeColumn(0, x)) {
+        Value x1 = l.RowUnchecked(id)[1];
         auto [it, fresh] = indices.emplace(x1, std::vector<int64_t>{});
         if (fresh) ++k;
         std::vector<int64_t>& set = it->second;

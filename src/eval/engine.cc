@@ -1,28 +1,13 @@
 #include "eval/engine.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "datalog/parser.h"
 #include "datalog/validate.h"
 #include "util/fault_injection.h"
 
 namespace mcm::eval {
-
-namespace {
-
-// Materialize the tuples of `rel` with ids in [lo, hi) into a fresh
-// relation. Copying is engine bookkeeping, not a database retrieval, so it
-// bypasses instrumentation.
-void CopyRange(const Relation& rel, size_t lo, size_t hi, Relation* out) {
-  for (size_t id = lo; id < hi; ++id) {
-    out->Insert(rel.PeekUnchecked(id));
-  }
-}
-
-}  // namespace
 
 Status Engine::Run(const dl::Program& program) {
   if (!options_.assume_validated) {
@@ -108,9 +93,6 @@ Status Engine::Abort(runtime::AbortReason reason, size_t stratum_index,
 
 Status Engine::EvaluateStratum(size_t stratum_index, const Stratum& stratum,
                                const std::vector<CompiledRule>& rules) {
-  std::unordered_set<std::string> local(stratum.predicates.begin(),
-                                        stratum.predicates.end());
-
   // Governor poll + abort bookkeeping shared by every check below.
   auto governor_check = [&]() -> Status {
     if (options_.context == nullptr) return Status::OK();
@@ -122,98 +104,109 @@ Status Engine::EvaluateStratum(size_t stratum_index, const Stratum& stratum,
                      : "wall-clock deadline exceeded");
   };
 
-  auto full_source = [this](const std::string& pred) -> const Relation* {
-    return db_->Find(pred);
+  // Every relation a rule touches exists by now (Run created them), and
+  // none is created or dropped during the stratum: resolve each rule's
+  // body sources and head relation once.
+  struct Resolved {
+    std::vector<BodySource> sources;
+    Relation* out;
   };
-
-  RelationView full_view;
-  full_view.body_source = [&](size_t, const std::string& pred) {
-    return full_source(pred);
+  auto resolve = [this](const CompiledRule& cr) {
+    return Resolved{cr.FullSources(*db_),
+                    db_->Find(cr.rule().head.predicate)};
   };
-  full_view.negation_source = full_source;
+  std::vector<Resolved> full;
+  full.reserve(stratum.rule_indices.size());
+  for (size_t ri : stratum.rule_indices) full.push_back(resolve(rules[ri]));
 
   MCM_RETURN_NOT_OK(governor_check());
 
   // --- Non-recursive stratum: a single pass over its rules suffices. ---
   if (!stratum.recursive) {
-    for (size_t ri : stratum.rule_indices) {
-      const CompiledRule& cr = rules[ri];
-      Relation* out = db_->Find(cr.rule().head.predicate);
-      info_.tuples_derived += EvaluateRule(ri, cr, full_view, out);
+    for (size_t k = 0; k < stratum.rule_indices.size(); ++k) {
+      const size_t ri = stratum.rule_indices[k];
+      info_.tuples_derived +=
+          EvaluateRule(ri, rules[ri], full[k].sources, full[k].out);
     }
     ++info_.iterations;
     return Status::OK();
   }
 
   // --- Recursive stratum. ---
+  // Local predicates by slot; a seminaive delta of local predicate p is the
+  // id range [delta_lo[p], delta_hi[p]) of its full relation.
+  std::unordered_map<std::string, size_t> local;
+  std::vector<const Relation*> local_rel;
+  for (const std::string& pred : stratum.predicates) {
+    local.emplace(pred, local_rel.size());
+    local_rel.push_back(db_->Find(pred));
+  }
+
   // Pre-compile delta-first variants: for each rule and each body position
   // holding a local predicate, a copy of the rule whose join order starts
-  // at that position. This is what makes seminaive rounds cost O(|delta| *
-  // fanout) instead of O(|relation|) per round.
+  // at that position, and that reads the delta there. This is what makes
+  // seminaive rounds cost O(|delta| * fanout) instead of O(|relation|) per
+  // round.
   struct DeltaVariant {
     size_t rule_index;
-    size_t pos;  // body position reading the delta
+    size_t pos;    // body position reading the delta
+    size_t local;  // slot of the predicate at `pos`
     CompiledRule compiled;
+    Resolved resolved;
   };
   std::vector<DeltaVariant> variants;
   for (size_t ri : stratum.rule_indices) {
     const CompiledRule& cr = rules[ri];
     for (size_t pos : cr.positive_positions()) {
-      const std::string& pred = cr.rule().body[pos].atom.predicate;
-      if (local.count(pred) == 0) continue;
+      auto it = local.find(cr.rule().body[pos].atom.predicate);
+      if (it == local.end()) continue;
       auto order = CompiledRule::DeltaFirstOrder(cr.rule(), pos);
       Result<CompiledRule> variant =
           CompiledRule::Compile(cr.rule(), db_, std::move(order));
-      if (variant.ok()) {
-        variants.push_back({ri, pos, std::move(variant).value()});
-      } else {
+      if (!variant.ok()) {
         // Reordering rejected (e.g. affine-binding constraints): fall back
         // to the written order; correctness is unaffected.
-        MCM_ASSIGN_OR_RETURN(CompiledRule fallback,
-                             CompiledRule::Compile(cr.rule(), db_));
-        variants.push_back({ri, pos, std::move(fallback)});
+        variant = CompiledRule::Compile(cr.rule(), db_);
+        MCM_RETURN_NOT_OK(variant.status());
       }
+      Resolved resolved = resolve(*variant);
+      variants.push_back({ri, pos, it->second, std::move(variant).value(),
+                          std::move(resolved)});
     }
   }
 
   // Pre-existing tuples of local predicates (e.g. facts inserted by lower
   // passes or by the caller) participate as initial deltas.
-  std::unordered_map<std::string, size_t> delta_lo;
-  for (const std::string& pred : stratum.predicates) {
-    delta_lo[pred] = 0;
-  }
+  std::vector<uint32_t> delta_lo(local_rel.size(), 0);
+  std::vector<uint32_t> delta_hi(local_rel.size(), 0);
 
   // Round 0: naive pass so that derivations needing no recursive tuple
   // (exit rules) fire.
   uint64_t stratum_tuples = 0;
-  for (size_t ri : stratum.rule_indices) {
-    const CompiledRule& cr = rules[ri];
-    Relation* out = db_->Find(cr.rule().head.predicate);
-    MCM_FAULT_POINT("engine/insert");
-    size_t n = EvaluateRule(ri, cr, full_view, out);
-    info_.tuples_derived += n;
-    stratum_tuples += n;
-  }
+  auto naive_pass = [&]() {
+    for (size_t k = 0; k < stratum.rule_indices.size(); ++k) {
+      const size_t ri = stratum.rule_indices[k];
+      MCM_FAULT_POINT("engine/insert");
+      size_t n = EvaluateRule(ri, rules[ri], full[k].sources, full[k].out);
+      info_.tuples_derived += n;
+      stratum_tuples += n;
+    }
+    return Status::OK();
+  };
+  MCM_RETURN_NOT_OK(naive_pass());
   ++info_.iterations;
 
   uint64_t rounds = 1;
   while (true) {
     MCM_FAULT_POINT("engine/round");
     MCM_RETURN_NOT_OK(governor_check());
-    // Snapshot deltas: for each local predicate, the id range added since
-    // the previous round (append-only storage makes this a range).
-    std::unordered_map<std::string, std::unique_ptr<Relation>> deltas;
+    // Deltas: for each local predicate, the id range added since the
+    // previous round (append-only storage makes this a range).
     bool any_delta = false;
-    for (const std::string& pred : stratum.predicates) {
-      Relation* full = db_->Find(pred);
-      size_t lo = delta_lo[pred];
-      size_t hi = full->size();
-      auto delta = std::make_unique<Relation>("delta_" + pred, full->arity(),
-                                              &db_->stats());
-      CopyRange(*full, lo, hi, delta.get());
-      delta_lo[pred] = hi;
-      if (!delta->empty()) any_delta = true;
-      deltas.emplace(pred, std::move(delta));
+    for (size_t p = 0; p < local_rel.size(); ++p) {
+      delta_lo[p] = delta_hi[p];
+      delta_hi[p] = static_cast<uint32_t>(local_rel[p]->size());
+      if (delta_hi[p] > delta_lo[p]) any_delta = true;
     }
     if (!any_delta) break;
 
@@ -227,32 +220,18 @@ Status Engine::EvaluateStratum(size_t stratum_index, const Stratum& stratum,
 
     if (!options_.seminaive) {
       // Naive round: every rule against full relations.
-      for (size_t ri : stratum.rule_indices) {
-        const CompiledRule& cr = rules[ri];
-        Relation* out = db_->Find(cr.rule().head.predicate);
-        MCM_FAULT_POINT("engine/insert");
-        size_t n = EvaluateRule(ri, cr, full_view, out);
-        info_.tuples_derived += n;
-        stratum_tuples += n;
-      }
+      MCM_RETURN_NOT_OK(naive_pass());
     } else {
       // Seminaive round: for each rule and each body position holding a
       // local (same-stratum) predicate, evaluate the delta-first variant
       // where that position reads the delta and all others read the full
       // relation.
-      for (const DeltaVariant& dv : variants) {
-        Relation* out = db_->Find(dv.compiled.rule().head.predicate);
-        size_t pos = dv.pos;
-        RelationView delta_view;
-        delta_view.body_source =
-            [&, pos](size_t body_pos,
-                     const std::string& p) -> const Relation* {
-          if (body_pos == pos) return deltas.at(p).get();
-          return db_->Find(p);
-        };
-        delta_view.negation_source = full_source;
+      for (DeltaVariant& dv : variants) {
+        dv.resolved.sources[dv.pos].range =
+            IdRange{delta_lo[dv.local], delta_hi[dv.local]};
         MCM_FAULT_POINT("engine/insert");
-        size_t n = EvaluateRule(dv.rule_index, dv.compiled, delta_view, out);
+        size_t n = EvaluateRule(dv.rule_index, dv.compiled,
+                                dv.resolved.sources, dv.resolved.out);
         info_.tuples_derived += n;
         stratum_tuples += n;
       }
@@ -279,10 +258,11 @@ Status Engine::EvaluateStratum(size_t stratum_index, const Stratum& stratum,
 }
 
 size_t Engine::EvaluateRule(size_t rule_index, const CompiledRule& cr,
-                            const RelationView& view, Relation* out) {
-  if (!options_.profile) return cr.Evaluate(view, out);
+                            const std::vector<BodySource>& sources,
+                            Relation* out) {
+  if (!options_.profile) return cr.Evaluate(sources, out);
   uint64_t reads_before = db_->stats().tuples_read;
-  size_t derived = cr.Evaluate(view, out);
+  size_t derived = cr.Evaluate(sources, out);
   RuleProfile& p = profile_[rule_index];
   p.evaluations++;
   p.tuples_derived += derived;

@@ -116,7 +116,7 @@ class Engine {
                const Stratum& stratum, const std::string& detail);
 
   size_t EvaluateRule(size_t rule_index, const CompiledRule& cr,
-                      const RelationView& view, Relation* out);
+                      const std::vector<BodySource>& sources, Relation* out);
 
   Database* db_;
   EvalOptions options_;

@@ -127,7 +127,6 @@ Result<CompiledRule> CompiledRule::Compile(const dl::Rule& rule, Database* db,
 
     JoinStep step;
     step.body_pos = pos;
-    step.atom = nullptr;  // fixed up after rule_ is stable (see below)
     std::unordered_set<std::string> locally_bound;
     for (uint32_t col = 0; col < lit.atom.args.size(); ++col) {
       const dl::Term& t = lit.atom.args[col];
@@ -182,6 +181,7 @@ Result<CompiledRule> CompiledRule::Compile(const dl::Rule& rule, Database* db,
       }
     }
     bound_vars.insert(locally_bound.begin(), locally_bound.end());
+    step.probe_mask = MaskOf(step.probe_cols);
     cr.steps_.push_back(std::move(step));
   }
 
@@ -220,6 +220,7 @@ Result<CompiledRule> CompiledRule::Compile(const dl::Rule& rule, Database* db,
     Guard g;
     if (lit.IsNegatedAtom()) {
       g.kind = Guard::Kind::kNegation;
+      g.body_pos = pos;
       for (const dl::Term& t : lit.atom.args) g.args.push_back(bound_term(t));
     } else {
       g.kind = Guard::Kind::kComparison;
@@ -261,134 +262,121 @@ Result<CompiledRule> CompiledRule::Compile(const dl::Rule& rule, Database* db,
 
   cr.var_names_ = slots.names();
 
-  // Fix up borrowed atom pointers now that rule_ will no longer move: they
-  // must point into cr.rule_, not the caller's rule.
-  {
-    for (JoinStep& step : cr.steps_) {
-      step.atom = &cr.rule_.body[step.body_pos].atom;
-    }
-    // guards_[k] is the k-th non-positive literal in body order.
-    size_t guard_i = 0;
-    for (size_t pos = 0; pos < cr.rule_.body.size(); ++pos) {
-      const dl::Literal& lit = cr.rule_.body[pos];
-      if (lit.IsPositiveAtom()) continue;
-      if (lit.IsNegatedAtom()) {
-        cr.guards_[guard_i].atom = &lit.atom;
-      }
-      ++guard_i;
-    }
-  }
-
   return cr;
 }
 
-bool CompiledRule::CheckGuards(const JoinStep& step, const RelationView& view,
-                               const std::vector<Value>& env) const {
-  for (size_t gi : step.guards) {
+std::vector<BodySource> CompiledRule::FullSources(const Database& db) const {
+  std::vector<BodySource> sources(rule_.body.size());
+  for (size_t pos = 0; pos < rule_.body.size(); ++pos) {
+    const dl::Literal& lit = rule_.body[pos];
+    if (lit.kind == dl::Literal::Kind::kAtom) {
+      sources[pos].rel = db.Find(lit.atom.predicate);
+    }
+  }
+  return sources;
+}
+
+bool CompiledRule::CheckGuards(const std::vector<size_t>& guards,
+                               const BodySource* sources,
+                               const Value* env) const {
+  for (size_t gi : guards) {
     const Guard& g = guards_[gi];
     if (g.kind == Guard::Kind::kComparison) {
       if (!dl::EvalCmp(g.op, Resolve(g.lhs, env), Resolve(g.rhs, env))) {
         return false;
       }
     } else {
-      const Relation* rel = view.negation_source(g.atom->predicate);
+      const Relation* rel = sources[g.body_pos].rel;
       if (rel == nullptr) continue;  // empty relation: negation holds
-      Tuple t(static_cast<uint32_t>(g.args.size()));
-      for (uint32_t i = 0; i < g.args.size(); ++i) {
-        t[i] = Resolve(g.args[i], env);
+      Value row[kMaxTupleArity];
+      for (size_t i = 0; i < g.args.size(); ++i) {
+        row[i] = Resolve(g.args[i], env);
       }
-      if (rel->Contains(t)) return false;
+      if (rel->ContainsRow(row)) return false;
     }
   }
   return true;
 }
 
-size_t CompiledRule::EvaluateFrom(size_t step_idx, const RelationView& view,
-                                  std::vector<Value>* env,
-                                  Relation* out) const {
+size_t CompiledRule::JoinTuple(size_t step_idx, const Value* row,
+                               const BodySource* sources, Value* env,
+                               Relation* out) const {
+  const JoinStep& step = steps_[step_idx];
+  // `row` points into the relation's arena, which the recursive call may
+  // grow (a recursive rule inserts into a relation it reads): read it all
+  // before recursing.
+  for (size_t i = 0; i < step.bind_cols.size(); ++i) {
+    env[step.bind_vars[i]] = row[step.bind_cols[i]];
+  }
+  // Repeated-variable filters within this atom.
+  for (const auto& [col, slot] : step.filter_checks) {
+    if (row[col] != env[slot]) return 0;
+  }
+  if (!step.guards.empty() && !CheckGuards(step.guards, sources, env)) {
+    return 0;
+  }
+  return EvaluateFrom(step_idx + 1, sources, env, out);
+}
+
+size_t CompiledRule::EvaluateFrom(size_t step_idx, const BodySource* sources,
+                                  Value* env, Relation* out) const {
   if (step_idx == steps_.size()) {
-    Tuple t(static_cast<uint32_t>(head_args_.size()));
-    for (uint32_t i = 0; i < head_args_.size(); ++i) {
-      t[i] = Resolve(head_args_[i], *env);
+    Value row[kMaxTupleArity];
+    for (size_t i = 0; i < head_args_.size(); ++i) {
+      row[i] = Resolve(head_args_[i], env);
     }
-    return out->Insert(t) ? 1 : 0;
+    return out->InsertRow(row) ? 1 : 0;
   }
 
   const JoinStep& step = steps_[step_idx];
-  const Relation* rel = view.body_source(step.body_pos, step.atom->predicate);
-  if (rel == nullptr || rel->empty()) return 0;
+  const BodySource& src = sources[step.body_pos];
+  const Relation* rel = src.rel;
+  if (rel == nullptr ||
+      src.range.lo >= std::min<size_t>(src.range.hi, rel->size())) {
+    return 0;  // empty relation, or empty delta
+  }
 
   size_t produced = 0;
-  auto process_tuple = [&](const Tuple& t) {
-    // Bind free columns.
-    for (size_t i = 0; i < step.bind_cols.size(); ++i) {
-      (*env)[step.bind_vars[i]] = t[step.bind_cols[i]];
-    }
-    // Repeated-variable filters within this atom.
-    for (const auto& [col, slot] : step.filter_checks) {
-      if (t[col] != (*env)[slot]) return;
-    }
-    if (!CheckGuards(step, view, *env)) return;
-    produced += EvaluateFrom(step_idx + 1, view, env, out);
-  };
-
   if (step.probe_cols.empty()) {
-    // Full scan.
-    for (const Tuple& t : rel->Scan()) process_tuple(t);
-  } else if (step.bind_cols.empty()) {
-    // Fully bound: membership check.
-    Tuple key(static_cast<uint32_t>(step.args.size()));
-    for (uint32_t i = 0; i < step.args.size(); ++i) {
-      key[i] = Resolve(step.args[i], *env);
-    }
-    if (rel->Contains(key)) {
-      if (CheckGuards(step, view, *env)) {
-        produced += EvaluateFrom(step_idx + 1, view, env, out);
-      }
+    // Full scan. The span is fixed now: tuples inserted while it is walked
+    // are not visited.
+    const TupleSpan span = rel->Scan(src.range);
+    for (uint32_t id = span.first_id(); id < span.end_id(); ++id) {
+      produced +=
+          JoinTuple(step_idx, rel->RowUnchecked(id), sources, env, out);
     }
   } else {
-    // Index probe on the bound columns.
-    std::vector<Value> key_vals;
-    key_vals.reserve(step.probe_cols.size());
     // args is stored per column in column order, so args[col] is the
-    // BoundTerm for column col.
-    for (uint32_t col : step.probe_cols) {
-      key_vals.push_back(Resolve(step.args[col], *env));
+    // BoundTerm for column col; probe_cols ascend, the mask's key order.
+    Value key[kMaxTupleArity];
+    for (size_t i = 0; i < step.probe_cols.size(); ++i) {
+      key[i] = Resolve(step.args[step.probe_cols[i]], env);
     }
-    // Copy the postings: for recursive rules `rel` can be the relation we
-    // are inserting into, and an insert may grow this very index bucket
-    // (invalidating the reference Probe returned) or reallocate tuple
-    // storage.
-    std::vector<uint32_t> ids = rel->Probe(step.probe_cols, key_vals);
-    for (uint32_t id : ids) {
-      Tuple t = rel->PeekUnchecked(id);
-      process_tuple(t);
+    if (step.bind_cols.empty()) {
+      // Fully bound: membership check.
+      if (rel->ContainsRow(key, src.range) &&
+          CheckGuards(step.guards, sources, env)) {
+        produced += EvaluateFrom(step_idx + 1, sources, env, out);
+      }
+    } else {
+      // Index probe on the bound columns. The postings view keeps the
+      // length it had at probe time, so inserts into `rel` during the
+      // loop (recursive rules) are not visited.
+      for (uint32_t id : rel->Probe(step.probe_mask, key, src.range)) {
+        produced +=
+            JoinTuple(step_idx, rel->RowUnchecked(id), sources, env, out);
+      }
     }
   }
   return produced;
 }
 
-size_t CompiledRule::Evaluate(const RelationView& view, Relation* out) const {
+size_t CompiledRule::Evaluate(const std::vector<BodySource>& sources,
+                              Relation* out) const {
   std::vector<Value> env(var_names_.size(), 0);
   // Constant-only guards.
-  for (size_t gi : initial_guards_) {
-    const Guard& g = guards_[gi];
-    if (g.kind == Guard::Kind::kComparison) {
-      if (!dl::EvalCmp(g.op, Resolve(g.lhs, env), Resolve(g.rhs, env))) {
-        return 0;
-      }
-    } else {
-      const Relation* rel = view.negation_source(g.atom->predicate);
-      if (rel != nullptr) {
-        Tuple t(static_cast<uint32_t>(g.args.size()));
-        for (uint32_t i = 0; i < g.args.size(); ++i) {
-          t[i] = Resolve(g.args[i], env);
-        }
-        if (rel->Contains(t)) return 0;
-      }
-    }
-  }
-  return EvaluateFrom(0, view, &env, out);
+  if (!CheckGuards(initial_guards_, sources.data(), env.data())) return 0;
+  return EvaluateFrom(0, sources.data(), env.data(), out);
 }
 
 }  // namespace mcm::eval

@@ -10,11 +10,12 @@
 //    such a position exists);
 //  * affine terms (J+1) are computed from the binding environment.
 //
-// Evaluation can substitute a *delta* relation for one designated positive
-// atom — the primitive the seminaive fixpoint is built from.
+// Each body literal reads from a BodySource resolved once per stratum: a
+// relation plus the id range of it to read. The seminaive engine restricts
+// one designated positive atom to the previous round's delta range — the
+// primitive its fixpoint is built from.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,16 +28,13 @@
 
 namespace mcm::eval {
 
-/// Resolves predicate names to the relations a rule should read from /
-/// write to. The seminaive engine supplies views where one occurrence reads
-/// a delta relation.
-struct RelationView {
-  /// Relation read for the positive body atom at position `body_pos`
-  /// (positions index `Rule::body`). Must not be nullptr for positive atoms.
-  std::function<const Relation*(size_t body_pos, const std::string& pred)>
-      body_source;
-  /// Relation read for negated atoms (always the full relation).
-  std::function<const Relation*(const std::string& pred)> negation_source;
+/// Where one body literal of a rule reads from.
+struct BodySource {
+  /// The relation read; nullptr only for an absent negated predicate (an
+  /// empty relation, so the negation holds).
+  const Relation* rel = nullptr;
+  /// Ids read: everything present at access time, or a seminaive delta.
+  IdRange range;
 };
 
 /// \brief Compiled form of one rule, reusable across fixpoint rounds.
@@ -59,10 +57,16 @@ class CompiledRule {
   static std::vector<size_t> DeltaFirstOrder(const dl::Rule& rule,
                                              size_t first_pos);
 
-  /// Evaluate the rule under `view`, inserting derived head tuples into
-  /// `out`. Returns the number of *new* tuples inserted — nodiscard
-  /// because the seminaive fixpoint's termination test is built from it.
-  [[nodiscard]] size_t Evaluate(const RelationView& view,
+  /// One source per body literal (indexed like `Rule::body`; comparisons
+  /// get an empty entry), each atom reading the whole relation `db` holds
+  /// under its predicate.
+  std::vector<BodySource> FullSources(const Database& db) const;
+
+  /// Evaluate the rule reading body literal i from `sources[i]`, inserting
+  /// derived head tuples into `out`. Returns the number of *new* tuples
+  /// inserted — nodiscard because the seminaive fixpoint's termination
+  /// test is built from it.
+  [[nodiscard]] size_t Evaluate(const std::vector<BodySource>& sources,
                                 Relation* out) const;
 
   const dl::Rule& rule() const MCM_LIFETIME_BOUND { return rule_; }
@@ -83,10 +87,10 @@ class CompiledRule {
 
   struct JoinStep {
     size_t body_pos;                 // which body literal
-    const dl::Atom* atom;            // borrowed from rule_
     // For each argument: is it bound at probe time?
     std::vector<BoundTerm> args;
     std::vector<uint32_t> probe_cols;   // columns with bound values
+    ColumnMask probe_mask = 0;          // the same columns as a mask
     std::vector<uint32_t> bind_cols;    // columns that bind new variables
     std::vector<int> bind_vars;         // env slot per bind_col
     // Repeated free variable within this same atom: tuple column must equal
@@ -99,7 +103,7 @@ class CompiledRule {
   struct Guard {
     enum class Kind { kNegation, kComparison } kind;
     // Negation:
-    const dl::Atom* atom = nullptr;
+    size_t body_pos = 0;  // the negated literal, indexes the sources
     std::vector<BoundTerm> args;
     // Comparison:
     dl::CmpOp op = dl::CmpOp::kEq;
@@ -108,7 +112,7 @@ class CompiledRule {
 
   CompiledRule() = default;
 
-  Value Resolve(const BoundTerm& t, const std::vector<Value>& env) const {
+  Value Resolve(const BoundTerm& t, const Value* env) const {
     switch (t.kind) {
       case BoundTerm::Kind::kConstant:
         return t.constant;
@@ -120,11 +124,17 @@ class CompiledRule {
     return 0;
   }
 
-  bool CheckGuards(const JoinStep& step, const RelationView& view,
-                   const std::vector<Value>& env) const;
+  /// True iff every guard in `guards` holds under `env`.
+  bool CheckGuards(const std::vector<size_t>& guards,
+                   const BodySource* sources, const Value* env) const;
 
-  size_t EvaluateFrom(size_t step_idx, const RelationView& view,
-                      std::vector<Value>* env, Relation* out) const;
+  /// Binds `step`'s free columns from the tuple at `row` and, if its
+  /// filters and guards hold, evaluates the remaining steps.
+  size_t JoinTuple(size_t step_idx, const Value* row,
+                   const BodySource* sources, Value* env, Relation* out) const;
+
+  size_t EvaluateFrom(size_t step_idx, const BodySource* sources, Value* env,
+                      Relation* out) const;
 
   dl::Rule rule_;
   std::vector<std::string> var_names_;  // env slot -> variable name

@@ -91,13 +91,10 @@ Status Database::SnapshotInto(Database* dst) const {
 }
 
 size_t Database::ApproxBytes() const {
-  // Per tuple: the Value payload plus ~32 bytes of hash-set/index overhead
-  // (bucket entry + id vectors), a deliberately round estimate.
-  constexpr size_t kPerTupleOverhead = 32;
   size_t total = 0;
   for (const auto& [name, rel] : relations_) {
     (void)name;
-    total += rel->size() * (rel->arity() * sizeof(Value) + kPerTupleOverhead);
+    total += rel->ApproxBytes();
   }
   return total;
 }

@@ -24,7 +24,7 @@ namespace mcm {
 /// counts stats, and builds lazy indexes, none of which is synchronized.
 /// Even the const read paths are not shareable across threads: Contains() /
 /// Get() / Scan() / Probe() count into the shared AccessStats through a
-/// const method, and Probe() builds its hash index lazily on first use
+/// const method, and Probe() builds its index lazily on first use
 /// (mutation hiding behind const — see the concurrency audit in DESIGN.md
 /// 5e). The two sanctioned cross-thread paths are the SymbolTable (which is
 /// internally synchronized and may be shared via the external-table
@@ -82,10 +82,11 @@ class MCM_OWNER(Relation) Database {
   /// Total number of tuples across all relations.
   size_t TotalTuples() const;
 
-  /// Approximate resident footprint of the stored tuples: value payload
-  /// plus a flat per-tuple bookkeeping estimate for the dedup set and
-  /// per-column indexes. Used by the execution governor's memory budget;
-  /// deliberately cheap (O(#relations)), not an exact allocator measure.
+  /// Bytes held by the relations' storage: the sum of
+  /// Relation::ApproxBytes, which reads the real capacities of each tuple
+  /// arena, dedup table and index (borrowed relations are charged for the
+  /// base storage they read). Used by the execution governor's memory
+  /// budget; O(#relations + #indexes), so cheap enough to poll per round.
   size_t ApproxBytes() const;
 
   /// Copy every relation's tuples into `dst` (relations are created there

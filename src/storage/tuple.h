@@ -40,6 +40,13 @@ class Tuple {
     std::copy(vals.begin(), vals.end(), values_.begin());
   }
 
+  /// The tuple whose `arity` values start at `row`.
+  Tuple(const Value* row, uint32_t arity) : arity_(arity) {
+    assert(arity <= kMaxTupleArity);
+    values_.fill(0);
+    std::copy(row, row + arity, values_.begin());
+  }
+
   uint32_t arity() const { return arity_; }
 
   Value operator[](uint32_t i) const {

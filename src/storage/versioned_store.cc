@@ -96,11 +96,10 @@ size_t VersionApproxBytes(
     const std::map<std::string, std::shared_ptr<const Relation>>& relations) {
   // Mirrors Database::ApproxBytes so the service's memory budget treats
   // snapshots from either source identically.
-  constexpr size_t kPerTupleOverhead = 32;
   size_t total = 0;
   for (const auto& [name, rel] : relations) {
     (void)name;
-    total += rel->size() * (rel->arity() * sizeof(Value) + kPerTupleOverhead);
+    total += rel->ApproxBytes();
   }
   return total;
 }

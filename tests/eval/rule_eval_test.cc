@@ -9,18 +9,6 @@
 namespace mcm::eval {
 namespace {
 
-// Helper: a view reading every predicate from `db`.
-RelationView FullView(Database* db) {
-  RelationView view;
-  view.body_source = [db](size_t, const std::string& pred) {
-    return db->Find(pred);
-  };
-  view.negation_source = [db](const std::string& pred) {
-    return db->Find(pred);
-  };
-  return view;
-}
-
 class RuleEvalTest : public ::testing::Test {
  protected:
   Relation* Rel(const std::string& name, uint32_t arity) {
@@ -35,7 +23,7 @@ class RuleEvalTest : public ::testing::Test {
   }
 
   std::vector<Tuple> Sorted(const Relation& r) {
-    std::vector<Tuple> out = r.TuplesUnchecked();
+    std::vector<Tuple> out = r.TuplesUnchecked().ToVector();
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -50,7 +38,7 @@ TEST_F(RuleEvalTest, SimpleProjection) {
   auto cr = Compile("p(Y) :- e(X, Y).");
   ASSERT_TRUE(cr.ok());
   Relation out("p", 1);
-  EXPECT_EQ(cr->Evaluate(FullView(&db_), &out), 2u);
+  EXPECT_EQ(cr->Evaluate(cr->FullSources(db_), &out), 2u);
   EXPECT_EQ(Sorted(out), (std::vector<Tuple>{{2}, {4}}));
 }
 
@@ -62,7 +50,7 @@ TEST_F(RuleEvalTest, JoinBindsThroughSharedVariable) {
   auto cr = Compile("p(X, Z) :- e(X, Y), e(Y, Z).");
   ASSERT_TRUE(cr.ok());
   Relation out("p", 2);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   EXPECT_EQ(Sorted(out), (std::vector<Tuple>{{1, 3}, {1, 4}}));
 }
 
@@ -73,7 +61,7 @@ TEST_F(RuleEvalTest, ConstantsActAsFilters) {
   auto cr = Compile("p(Y) :- e(1, Y).");
   ASSERT_TRUE(cr.ok());
   Relation out("p", 1);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   EXPECT_EQ(Sorted(out), (std::vector<Tuple>{{2}}));
 }
 
@@ -85,7 +73,7 @@ TEST_F(RuleEvalTest, SymbolConstantsInterned) {
   auto cr = Compile("p(Y) :- par(ann, Y).");
   ASSERT_TRUE(cr.ok());
   Relation out("p", 1);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.PeekUnchecked(0)[0], bob);
 }
@@ -99,7 +87,7 @@ TEST_F(RuleEvalTest, NegationGuard) {
   auto cr = Compile("ok(X) :- v(X), not bad(X).");
   ASSERT_TRUE(cr.ok());
   Relation out("ok", 1);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   EXPECT_EQ(Sorted(out), (std::vector<Tuple>{{1}}));
 }
 
@@ -109,8 +97,7 @@ TEST_F(RuleEvalTest, NegationAgainstMissingRelationHolds) {
   auto cr = Compile("ok(X) :- v(X), not nothere(X).");
   ASSERT_TRUE(cr.ok());
   Relation out("ok", 1);
-  RelationView view = FullView(&db_);
-  (void)cr->Evaluate(view, &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -121,7 +108,7 @@ TEST_F(RuleEvalTest, ComparisonGuard) {
   auto cr = Compile("inc(X, Y) :- v(X, Y), X < Y.");
   ASSERT_TRUE(cr.ok());
   Relation out("inc", 2);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   EXPECT_EQ(Sorted(out), (std::vector<Tuple>{{1, 5}}));
 }
 
@@ -133,7 +120,7 @@ TEST_F(RuleEvalTest, AffineHeadComputesOffset) {
   auto cr = Compile("cs2(J+1, X1) :- cs(J, X), l(X, X1).");
   ASSERT_TRUE(cr.ok());
   Relation out("cs2", 2);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.PeekUnchecked(0), (Tuple{1, 11}));
 }
@@ -146,7 +133,7 @@ TEST_F(RuleEvalTest, AffineNegativeOffset) {
   auto cr = Compile("pc2(J-1, Y) :- pc(J, Y1), r(Y, Y1), J > 0.");
   ASSERT_TRUE(cr.ok());
   Relation out("pc2", 2);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.PeekUnchecked(0), (Tuple{2, 19}));
 }
@@ -159,7 +146,7 @@ TEST_F(RuleEvalTest, GuardStopsAtZero) {
   auto cr = Compile("pc2(J-1, Y) :- pc(J, Y1), r(Y, Y1), J > 0.");
   ASSERT_TRUE(cr.ok());
   Relation out("pc2", 2);
-  EXPECT_EQ(cr->Evaluate(FullView(&db_), &out), 0u);
+  EXPECT_EQ(cr->Evaluate(cr->FullSources(db_), &out), 0u);
 }
 
 TEST_F(RuleEvalTest, OutputDeduplicated) {
@@ -169,7 +156,7 @@ TEST_F(RuleEvalTest, OutputDeduplicated) {
   auto cr = Compile("p(Y) :- e(X, Y).");
   ASSERT_TRUE(cr.ok());
   Relation out("p", 1);
-  EXPECT_EQ(cr->Evaluate(FullView(&db_), &out), 1u);  // 5 inserted once
+  EXPECT_EQ(cr->Evaluate(cr->FullSources(db_), &out), 1u);  // 5 inserted once
 }
 
 TEST_F(RuleEvalTest, CustomJoinOrderSameResult) {
@@ -185,8 +172,8 @@ TEST_F(RuleEvalTest, CustomJoinOrderSameResult) {
   ASSERT_TRUE(forward.ok());
   ASSERT_TRUE(backward.ok());
   Relation out_f("j", 2), out_b("j", 2);
-  (void)forward->Evaluate(FullView(&db_), &out_f);
-  (void)backward->Evaluate(FullView(&db_), &out_b);
+  (void)forward->Evaluate(forward->FullSources(db_), &out_f);
+  (void)backward->Evaluate(backward->FullSources(db_), &out_b);
   EXPECT_EQ(Sorted(out_f), Sorted(out_b));
 }
 
@@ -206,7 +193,7 @@ TEST_F(RuleEvalTest, EvaluateAgainstEmptyRelationProducesNothing) {
   auto cr = Compile("p(Y) :- e(X, Y).");
   ASSERT_TRUE(cr.ok());
   Relation out("p", 1);
-  EXPECT_EQ(cr->Evaluate(FullView(&db_), &out), 0u);
+  EXPECT_EQ(cr->Evaluate(cr->FullSources(db_), &out), 0u);
 }
 
 TEST_F(RuleEvalTest, CartesianProductWhenNoSharedVars) {
@@ -219,7 +206,7 @@ TEST_F(RuleEvalTest, CartesianProductWhenNoSharedVars) {
   auto cr = Compile("pair(X, Y) :- a(X), b(Y).");
   ASSERT_TRUE(cr.ok());
   Relation out("pair", 2);
-  EXPECT_EQ(cr->Evaluate(FullView(&db_), &out), 4u);
+  EXPECT_EQ(cr->Evaluate(cr->FullSources(db_), &out), 4u);
 }
 
 TEST_F(RuleEvalTest, FullyBoundAtomBecomesMembershipTest) {
@@ -231,7 +218,7 @@ TEST_F(RuleEvalTest, FullyBoundAtomBecomesMembershipTest) {
   auto cr = Compile("both(X, Y) :- e(X, Y), f(X, Y).");
   ASSERT_TRUE(cr.ok());
   Relation out("both", 2);
-  (void)cr->Evaluate(FullView(&db_), &out);
+  (void)cr->Evaluate(cr->FullSources(db_), &out);
   EXPECT_EQ(Sorted(out), (std::vector<Tuple>{{1, 2}}));
 }
 

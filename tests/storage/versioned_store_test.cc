@@ -502,7 +502,8 @@ TEST_F(VersionedStoreTest, PinSurvivesConcurrentCheckpointCommitRecoverChurn) {
 
   auto pin = store->Pin();  // epoch 1: the version whose survival is tested
   ASSERT_NE(pin->Find("edge"), nullptr);
-  const std::vector<Tuple> expected = pin->Find("edge")->TuplesUnchecked();
+  const std::vector<Tuple> expected =
+      pin->Find("edge")->TuplesUnchecked().ToVector();
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -555,13 +556,13 @@ TEST_F(VersionedStoreTest, PinSurvivesConcurrentCheckpointCommitRecoverChurn) {
     readers.emplace_back([&] {
       while (!stop) {
         if (pin->epoch() != 1 ||
-            pin->Find("edge")->TuplesUnchecked() != expected) {
+            pin->Find("edge")->TuplesUnchecked().ToVector() != expected) {
           ++failures;
           return;
         }
         Database work(&store->symbols());
         if (!EdbView(*pin).AttachTo(&work).ok() ||
-            work.Find("edge")->TuplesUnchecked() != expected) {
+            work.Find("edge")->TuplesUnchecked().ToVector() != expected) {
           ++failures;
           return;
         }
@@ -589,7 +590,7 @@ TEST_F(VersionedStoreTest, PinSurvivesConcurrentCheckpointCommitRecoverChurn) {
   // tuple reads stay valid after the store (and its tip) are destroyed.
   store.reset();
   EXPECT_EQ(pin->epoch(), 1u);
-  EXPECT_EQ(pin->Find("edge")->TuplesUnchecked(), expected);
+  EXPECT_EQ(pin->Find("edge")->TuplesUnchecked().ToVector(), expected);
 }
 
 }  // namespace
