@@ -193,7 +193,7 @@ void RunInteractiveProgram(const std::string& source,
   if (prog->queries.size() == 1) {
     core::PlannerOptions options;
     options.run = settings.run;
-    options.allow_fallback = settings.fallback;
+    if (!settings.fallback) options.ladder.resize(1);  // one rung: no retry
     auto report = core::SolveProgram(&db, *prog, options);
     if (!report.ok()) {
       std::printf("error: %s\n", report.status().ToString().c_str());

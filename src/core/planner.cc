@@ -1,6 +1,6 @@
 #include "core/planner.h"
 
-#include <functional>
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -49,6 +49,89 @@ std::string PlanAttempt::ToString() const {
   return out;
 }
 
+std::string Rung::Id() const {
+  switch (kind) {
+    case Kind::kCounting:
+      return "counting";
+    case Kind::kMagicCounting:
+      return "mc/" + McVariantToString(variant) + "/" +
+             (mode == McMode::kIndependent ? "ind" : "int");
+    case Kind::kMagicSets:
+      return "magic_sets";
+    case Kind::kBottomUp:
+      return "bottom_up";
+  }
+  return "?";
+}
+
+bool Rung::FromId(const std::string& id, Rung* out) {
+  // Every rung by id, built once: the planner maps each cost-ranking entry
+  // through here per request.
+  static const std::vector<std::pair<std::string, Rung>> kAll = [] {
+    std::vector<std::pair<std::string, Rung>> all;
+    for (Rung r : {Counting(), MagicSets(), BottomUp()}) {
+      all.emplace_back(r.Id(), r);
+    }
+    for (McVariant v : {McVariant::kBasic, McVariant::kSingle,
+                        McVariant::kMultiple, McVariant::kRecurring,
+                        McVariant::kRecurringSmart}) {
+      for (McMode m : {McMode::kIndependent, McMode::kIntegrated}) {
+        all.emplace_back(Mc(v, m).Id(), Mc(v, m));
+      }
+    }
+    return all;
+  }();
+  for (const auto& [name, rung] : kAll) {
+    if (name == id) {
+      *out = rung;
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+bool Holds(const std::vector<Rung>& ladder, Rung::Kind kind) {
+  return std::any_of(ladder.begin(), ladder.end(),
+                     [kind](const Rung& r) { return r.kind == kind; });
+}
+
+}  // namespace
+
+std::vector<Rung> SafeLadder(McVariant variant, McMode mode) {
+  // The Figure 3 order; recurring_smart is recurring with a faster Step 1,
+  // so, like recurring, it has no safer variant.
+  static constexpr McVariant kWalk[] = {McVariant::kBasic, McVariant::kSingle,
+                                        McVariant::kMultiple,
+                                        McVariant::kRecurring};
+  std::vector<Rung> ladder{Rung::Mc(variant, mode)};
+  const McVariant* safer =
+      std::find(std::begin(kWalk), std::end(kWalk), variant);
+  if (safer != std::end(kWalk)) ++safer;
+  for (; safer != std::end(kWalk); ++safer) {
+    ladder.push_back(Rung::Mc(*safer, mode));
+  }
+  ladder.push_back(Rung::MagicSets());
+  ladder.push_back(Rung::BottomUp());
+  return ladder;
+}
+
+bool AdmitsCounting(const PlannerOptions& options) {
+  return options.counting != CountingPolicy::kNever &&
+         Holds(options.ladder, Rung::Kind::kCounting);
+}
+
+void SkipCountingRungs(PlannerOptions* options) {
+  std::vector<Rung>& ladder = options->ladder;
+  ladder.erase(std::remove_if(ladder.begin(), ladder.end(),
+                              [](const Rung& r) { return r.counting_based(); }),
+               ladder.end());
+  if (!Holds(ladder, Rung::Kind::kMagicSets)) {
+    ladder.insert(ladder.begin(), Rung::MagicSets());
+  }
+}
+
 namespace {
 
 /// "counting: Unsafe [iteration_cap] (0.4ms) -> magic_sets: ok (1.2ms)".
@@ -70,155 +153,22 @@ Status WithAttemptLog(const Status& last,
                 last.message() + "; attempts: " + AttemptLogSummary(attempts));
 }
 
-/// Position of a variant in the Figure 3 degradation order (counting ->
-/// single -> multiple -> recurring -> magic sets). RecurringSmart is
-/// recurring with a faster Step 1, so it degrades like recurring.
-int DegradationRank(McVariant v) {
-  switch (v) {
-    case McVariant::kBasic:
-      return 0;
-    case McVariant::kSingle:
-      return 1;
-    case McVariant::kMultiple:
-      return 2;
-    case McVariant::kRecurring:
-    case McVariant::kRecurringSmart:
-      return 3;
-  }
-  return 0;
-}
-
 /// An abort the degradation ladder may recover from; cancellation and
 /// genuine errors (parse, arity, internal) always propagate.
 bool IsRecoverableAbort(const Status& st) {
   return st.IsUnsafe() || st.IsDeadlineExceeded();
 }
 
-/// Ladder method id ("mc/multiple/int") for a variant + mode; preserves
-/// recurring_smart so the id round-trips through ParseMcId for execution.
-std::string McLadderId(McVariant variant, McMode mode) {
-  return "mc/" + McVariantToString(variant) + "/" +
-         (mode == McMode::kIndependent ? "ind" : "int");
-}
-
-bool ParseMcId(const std::string& id, McVariant* variant, McMode* mode);
-
-/// The cost model's prediction for a ladder method id; negative when the
-/// table has no row (not computed, or an unknown id). RecurringSmart reads
-/// recurring's row: same partition, faster Step 1.
-double PredictedFor(const analysis::CostReport& cost, const std::string& id) {
+/// The cost model's prediction for a rung in tuple retrievals; negative
+/// when the table has no row (not computed, or no finite estimate).
+/// RecurringSmart reads recurring's row: same partition, faster Step 1.
+double PredictedFor(const analysis::CostReport& cost, Rung rung) {
   if (!cost.computed) return -1.0;
-  std::string key = id;
-  McVariant v{};
-  McMode m{};
-  if (ParseMcId(id, &v, &m)) {
-    if (v == McVariant::kRecurringSmart) v = McVariant::kRecurring;
-    key = "mc/" + McVariantToString(v) + "/" +
-          (m == McMode::kIndependent ? "ind" : "int");
+  if (rung.variant == McVariant::kRecurringSmart) {
+    rung.variant = McVariant::kRecurring;
   }
-  const analysis::CostEstimate* e = cost.EstimateFor(key);
+  const analysis::CostEstimate* e = cost.EstimateFor(rung.Id());
   return e != nullptr && e->finite ? e->predicted : -1.0;
-}
-
-/// Inverse of McCostId / the ladder id format "mc/<variant>/<ind|int>".
-bool ParseMcId(const std::string& id, McVariant* variant, McMode* mode) {
-  if (!StartsWith(id, "mc/")) return false;
-  size_t slash = id.find('/', 3);
-  if (slash == std::string::npos) return false;
-  std::string v = id.substr(3, slash - 3);
-  std::string m = id.substr(slash + 1);
-  if (v == "basic") {
-    *variant = McVariant::kBasic;
-  } else if (v == "single") {
-    *variant = McVariant::kSingle;
-  } else if (v == "multiple") {
-    *variant = McVariant::kMultiple;
-  } else if (v == "recurring") {
-    *variant = McVariant::kRecurring;
-  } else if (v == "recurring_smart") {
-    *variant = McVariant::kRecurringSmart;
-  } else {
-    return false;
-  }
-  if (m == "ind" || m == "independent") {
-    *mode = McMode::kIndependent;
-  } else if (m == "int" || m == "integrated") {
-    *mode = McMode::kIntegrated;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// The ordered method ids the CSL-path ladder will try, shared between
-/// SolveProgram (which executes them) and ExplainProgram (which only
-/// reports them). Ids use the cost/verdict table naming: "counting",
-/// "mc/<variant>/<ind|int>", "magic_sets".
-///
-/// With auto_select and a computed cost report the order is the
-/// predicted-cost ranking; otherwise it is the fixed Figure 3 walk
-/// (configured method, then safer variants, then magic sets), with plain
-/// counting in front only when allowed and statically safe (or dynamically
-/// attempted). `counting_note` receives the refusal note, `ranked` whether
-/// the cost ranking drove the order.
-std::vector<std::string> LadderMethodIds(
-    const PlannerOptions& options, const analysis::AnalysisResult& analysis,
-    std::string* counting_note, bool* ranked) {
-  std::vector<std::string> ids;
-  analysis::Verdict counting_verdict = analysis.safety.VerdictFor("counting");
-  *ranked = false;
-
-  // Circuit-breaker override: straight to the safe bottom rung.
-  if (options.force_safe_method) {
-    *counting_note = "; counting rungs skipped (safe method forced)";
-    ids.push_back("magic_sets");
-    return ids;
-  }
-
-  *ranked = options.auto_select && analysis.cost.computed &&
-            !analysis.cost.ranking.empty();
-
-  if (*ranked) {
-    // The ranking already contains exactly the safe finite methods,
-    // cheapest first ("counting" only when statically safe).
-    for (const std::string& method : analysis.cost.ranking) {
-      if (method == "magic_sets" && !options.allow_magic_sets) continue;
-      ids.push_back(method);
-    }
-    if (options.allow_plain_counting && options.attempt_unsafe_counting &&
-        counting_verdict != analysis::Verdict::kSafe) {
-      ids.insert(ids.begin(), "counting");
-    }
-    if (!options.allow_fallback && ids.size() > 1) ids.resize(1);
-    return ids;
-  }
-
-  if (options.allow_plain_counting) {
-    if (counting_verdict == analysis::Verdict::kSafe ||
-        options.attempt_unsafe_counting) {
-      ids.push_back("counting");
-    } else if (counting_verdict == analysis::Verdict::kUnsafe) {
-      *counting_note =
-          "; plain counting refused: statically unsafe "
-          "(cyclic magic graph)";
-    } else {
-      *counting_note =
-          "; plain counting refused: safety not statically "
-          "decidable";
-    }
-  }
-  ids.push_back(McLadderId(options.variant, options.mode));
-  if (options.allow_fallback) {
-    // Safer MC variants than the configured one, then magic sets.
-    for (McVariant v : {McVariant::kSingle, McVariant::kMultiple,
-                        McVariant::kRecurring}) {
-      if (DegradationRank(v) > DegradationRank(options.variant)) {
-        ids.push_back(McLadderId(v, options.mode));
-      }
-    }
-    if (options.allow_magic_sets) ids.push_back("magic_sets");
-  }
-  return ids;
 }
 
 /// Split the program into the goal predicate's own rules and the support
@@ -231,11 +181,7 @@ struct GoalSplit {
 };
 
 Result<GoalSplit> SplitByGoal(const dl::Program& program) {
-  if (program.queries.size() != 1) {
-    return Status::Unsupported("planner expects exactly one query");
-  }
   const std::string& p = program.queries[0].goal.predicate;
-
   GoalSplit split;
   for (const dl::Rule& r : program.rules) {
     if (r.head.predicate == p) {
@@ -257,33 +203,242 @@ Result<GoalSplit> SplitByGoal(const dl::Program& program) {
   return split;
 }
 
+/// Where a query is answered. SolveProgram executes it and ExplainProgram
+/// reports it, so the two cannot disagree.
+struct Route {
+  enum class Path : uint8_t { kStronglyLinear, kMagicRewrite, kBottomUp };
+  Path path = Path::kBottomUp;
+
+  // kStronglyLinear: the recognized shape (exactly one of csl / slq / rev
+  // is ok) and the rungs to walk, in order.
+  GoalSplit split;
+  Result<rewrite::CslQuery> csl = Status::Unsupported("no CSL shape");
+  Result<rewrite::StronglyLinearQuery> slq =
+      Status::Unsupported("no strongly linear shape");
+  Result<rewrite::ReverseCsl> rev = Status::Unsupported("no reverse shape");
+  std::vector<Rung> rungs;
+  std::string note;  ///< why the counting rung was refused, if it was
+  bool ranked = false;
+
+  // kMagicRewrite.
+  Result<rewrite::MagicProgram> magic = Status::Unsupported("no rewrite");
+};
+
+/// Match the goal rules against the canonical, composed and mirrored
+/// strongly linear shapes, and check that every relation the CSL solver
+/// will read exists once the support strata (and, for composed parts, the
+/// compositions) are materialized.
+bool RecognizeStronglyLinear(const Database& db, Route* route) {
+  const dl::Program& goal = route->split.goal_part;
+  route->csl = rewrite::RecognizeCsl(goal);
+  if (!route->csl.ok()) route->slq = rewrite::RecognizeStronglyLinear(goal);
+  if (!route->csl.ok() && !route->slq.ok()) {
+    route->rev = rewrite::RecognizeReverseCsl(goal, "mcm_eswap");
+  }
+
+  std::unordered_set<std::string> derived;
+  for (const auto& [pred, arity] : route->split.support.PredicateArities()) {
+    derived.insert(pred);
+  }
+  auto available = [&db, &derived](const std::string& pred) {
+    return db.Find(pred) != nullptr || derived.count(pred) > 0;
+  };
+  // A composed part is materialized under its own name; a single atom is
+  // read in place.
+  auto part_available = [&available](bool is_atom,
+                                      const std::vector<dl::Literal>& part) {
+    return !is_atom || available(part[0].atom.predicate);
+  };
+  if (route->csl.ok()) {
+    return available(route->csl->l) && available(route->csl->e) &&
+           available(route->csl->r);
+  }
+  if (route->slq.ok()) {
+    const rewrite::StronglyLinearQuery& q = *route->slq;
+    return part_available(q.prefix_is_atom, q.prefix) &&
+           part_available(q.exit_is_atom, q.exit_body) &&
+           part_available(q.suffix_is_atom, q.suffix);
+  }
+  if (route->rev.ok()) {
+    return available(route->rev->original_e) &&
+           available(route->rev->csl.l) && available(route->rev->csl.r);
+  }
+  return false;
+}
+
+/// The strongly linear ladder: the listed (or cost-ranked) counting,
+/// magic-counting and magic-sets rungs, with the counting rung gated by the
+/// counting policy and the static verdict.
+void BuildLadder(const PlannerOptions& options,
+                 const analysis::AnalysisResult& analysis, Route* route) {
+  const analysis::CostReport& cost = analysis.cost;
+  route->ranked = options.order == LadderOrder::kPredictedCost &&
+                  cost.computed && !cost.ranking.empty();
+  std::vector<Rung> candidates;
+  if (route->ranked) {
+    // The ranking holds exactly the safe finite methods, cheapest first
+    // ("counting" only when statically safe).
+    for (const std::string& id : cost.ranking) {
+      Rung r;
+      if (Rung::FromId(id, &r) && Holds(options.ladder, r.kind)) {
+        candidates.push_back(r);
+      }
+    }
+    if (options.counting == CountingPolicy::kGoverned &&
+        Holds(options.ladder, Rung::Kind::kCounting) &&
+        !Holds(candidates, Rung::Kind::kCounting)) {
+      candidates.insert(candidates.begin(), Rung::Counting());
+    }
+  } else {
+    for (const Rung& r : options.ladder) {
+      if (r.kind != Rung::Kind::kBottomUp) candidates.push_back(r);
+    }
+  }
+
+  analysis::Verdict verdict = analysis.safety.VerdictFor("counting");
+  for (const Rung& r : candidates) {
+    if (r.kind == Rung::Kind::kCounting) {
+      if (options.counting == CountingPolicy::kNever) continue;
+      if (options.counting == CountingPolicy::kIfProvenSafe &&
+          verdict != analysis::Verdict::kSafe) {
+        route->note = verdict == analysis::Verdict::kUnsafe
+                          ? "; plain counting refused: statically unsafe "
+                            "(cyclic magic graph)"
+                          : "; plain counting refused: safety not "
+                            "statically decidable";
+        continue;
+      }
+    }
+    route->rungs.push_back(r);
+  }
+}
+
+/// The one routing decision both SolveProgram and ExplainProgram follow.
+Result<Route> PlanRoute(const Database& db, const dl::Program& program,
+                        const PlannerOptions& options,
+                        const analysis::AnalysisResult& analysis) {
+  if (program.queries.size() != 1) {
+    return Status::Unsupported("planner expects exactly one query");
+  }
+  const dl::Query& query = program.queries[0];
+  Route route;
+
+  // 1. The strongly linear ladder, when the request asks for the counting
+  // family at all.
+  bool counting_family =
+      options.counting != CountingPolicy::kNever ||
+      std::any_of(options.ladder.begin(), options.ladder.end(),
+                  [](const Rung& r) { return r.counting_based(); });
+  if (counting_family) {
+    Result<GoalSplit> split = SplitByGoal(program);
+    if (split.ok()) {
+      route.split = std::move(*split);
+      if (RecognizeStronglyLinear(db, &route)) {
+        BuildLadder(options, analysis, &route);
+        if (!route.rungs.empty()) {
+          route.path = Route::Path::kStronglyLinear;
+          return route;
+        }
+      }
+    }
+  }
+
+  // 2. Generalized magic sets when the goal carries bindings.
+  bool has_binding = std::any_of(
+      query.goal.args.begin(), query.goal.args.end(),
+      [](const dl::Term& t) { return t.IsConstant(); });
+  bool only_bottom_up = std::all_of(
+      options.ladder.begin(), options.ladder.end(),
+      [](const Rung& r) { return r.kind == Rung::Kind::kBottomUp; });
+  if (has_binding && !only_bottom_up) {
+    route.magic = rewrite::MagicRewrite(program, query.goal);
+    if (route.magic.ok()) {
+      route.path = Route::Path::kMagicRewrite;
+      return route;
+    }
+  }
+
+  // 3. Plain bottom-up evaluation.
+  route.path = Route::Path::kBottomUp;
+  return route;
+}
+
+/// Attempt-log name of a strongly linear rung, also the fault-injection
+/// site suffix. Magic counting spells its mode in full: the sites and logs
+/// predate the short cost-table ids and keep their form.
+std::string TierName(const Rung& rung) {
+  if (rung.kind != Rung::Kind::kMagicCounting) return rung.Id();
+  return "mc/" + McVariantToString(rung.variant) + "/" +
+         McModeToString(rung.mode);
+}
+
+std::string TierDescription(const Rung& rung, analysis::Verdict verdict) {
+  switch (rung.kind) {
+    case Rung::Kind::kCounting:
+      if (verdict == analysis::Verdict::kSafe) {
+        return "pure counting (statically proven safe: acyclic magic graph)";
+      }
+      return std::string("pure counting (statically ") +
+             (verdict == analysis::Verdict::kUnsafe ? "unsafe"
+                                                    : "undecidable") +
+             ", attempted under the governor)";
+    case Rung::Kind::kMagicCounting:
+      return "magic counting (" + TierName(rung).substr(3) + ")";
+    case Rung::Kind::kMagicSets:
+    case Rung::Kind::kBottomUp:
+      break;
+  }
+  return "magic sets (safe bottom of the degradation ladder)";
+}
+
+Result<MethodRun> RunTier(CslSolver* solver, const Rung& rung,
+                          const RunOptions& run) {
+  switch (rung.kind) {
+    case Rung::Kind::kCounting:
+      return solver->RunCounting(run);
+    case Rung::Kind::kMagicCounting:
+      return solver->RunMagicCounting(rung.variant, rung.mode, run);
+    case Rung::Kind::kMagicSets:
+    case Rung::Kind::kBottomUp:
+      break;
+  }
+  return solver->RunMagicSets(run);
+}
+
+/// The caller's analysis, or a fresh one of `program` against `db`.
+const analysis::AnalysisResult& AnalysisFor(
+    const Database* db, const dl::Program& program,
+    const PlannerOptions& options, analysis::AnalysisResult* local) {
+  if (options.analysis != nullptr) return *options.analysis;
+  analysis::AnalyzeOptions aopts;
+  aopts.db = db;
+  *local = analysis::Analyze(program, aopts);
+  return *local;
+}
+
 }  // namespace
 
 Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
                                 const PlannerOptions& options) {
   // One analyzer run replaces the per-engine dl::Validate calls: planning
   // aborts on errors, warnings ride along in the report, and the static
-  // counting-safety verdicts gate the strategy choice below.
+  // counting-safety verdicts and cost ranking shape the ladder.
   analysis::AnalysisResult local_analysis;
-  const analysis::AnalysisResult* analysis = options.analysis;
-  if (analysis == nullptr) {
-    analysis::AnalyzeOptions aopts;
-    aopts.db = db;
-    local_analysis = analysis::Analyze(program, aopts);
-    analysis = &local_analysis;
-  }
-  MCM_RETURN_NOT_OK(analysis->ToStatus());
-  if (program.queries.size() != 1) {
-    return Status::Unsupported("planner expects exactly one query");
-  }
+  const analysis::AnalysisResult& analysis =
+      AnalysisFor(db, program, options, &local_analysis);
+  MCM_RETURN_NOT_OK(analysis.ToStatus());
+  MCM_ASSIGN_OR_RETURN(Route route,
+                       PlanRoute(*db, program, options, analysis));
   const dl::Query& query = program.queries[0];
 
   std::vector<PlanAttempt> attempts;
-  auto finish_report = [&analysis, &attempts](PlanReport report) {
-    report.diagnostics = analysis->diagnostics.diagnostics();
-    report.safety = analysis->safety;
-    report.cost = analysis->cost;
+  AccessStats before = db->stats();
+  auto finish_report = [&analysis, &attempts, db, &before](PlanReport report) {
+    report.diagnostics = analysis.diagnostics.diagnostics();
+    report.safety = analysis.safety;
+    report.cost = analysis.cost;
     report.attempts = std::move(attempts);
+    report.stats.tuples_read = db->stats().tuples_read - before.tuples_read;
     return report;
   };
 
@@ -306,211 +461,116 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
     return eopts;
   };
 
-  AccessStats before = db->stats();
-
-  // --- Path 1: magic counting on a (possibly derived / composed)
-  // strongly linear query. ---
-  if (options.allow_magic_counting) {
-    auto split = SplitByGoal(program);
-    if (split.ok()) {
-      // Canonical shape first (no materialization at all), then the
-      // strongly linear generalization (conjunctive L/E/R, materialized).
-      Result<rewrite::CslQuery> csl = rewrite::RecognizeCsl(split->goal_part);
-      Result<rewrite::StronglyLinearQuery> slq =
-          csl.ok() ? Status::Unsupported("csl matched")
-                   : rewrite::RecognizeStronglyLinear(split->goal_part);
-      Result<rewrite::ReverseCsl> rev =
-          (csl.ok() || slq.ok())
-              ? Status::Unsupported("forward form matched")
-              : rewrite::RecognizeReverseCsl(split->goal_part,
-                                             "mcm_eswap");
-      if (csl.ok() || slq.ok() || rev.ok()) {
-        // Materialize derived support predicates first.
-        if (!split->support.rules.empty()) {
-          eval::EvalOptions eopts = governed_eopts();
-          eopts.assume_validated = true;
-          eval::Engine engine(db, eopts);
-          MCM_RETURN_NOT_OK(engine.Run(split->support));
-        }
-        std::string how;
-        if (!csl.ok() && slq.ok()) {
-          csl = rewrite::MaterializeStronglyLinear(db, *slq);
-          how = " via composed L/E/R (" + slq->ToString() + ")";
-        } else if (!csl.ok() && rev.ok()) {
-          // Reverse-bound query P(X, b): run the mirrored forward query
-          // over (L'=R, E'=E swapped, R'=L).
-          MCM_RETURN_NOT_OK(rewrite::MaterializeSwappedE(db, rev->original_e,
-                                                         "mcm_eswap"));
-          csl = rev->csl;
-          how = " via reverse binding (mirrored query)";
-        }
-        if (csl.ok() && db->Find(csl->l) != nullptr &&
-            db->Find(csl->e) != nullptr && db->Find(csl->r) != nullptr) {
-          Value a = rewrite::ResolveSource(*csl, db);
-          CslSolver solver(db, csl->l, csl->e, csl->r, a);
-
-          // Every rung evaluates a machine-generated rewrite of the program
-          // the analyzer above already validated, so the engine may skip its
-          // per-rung re-validation.
-          RunOptions run_options = options.run;
-          run_options.assume_validated = true;
-
-          // Build the degradation ladder: the predicted-cost ranking when
-          // auto_select has a computed cost table, the fixed Figure 3 walk
-          // otherwise. Tier 0 — plain counting — is gated by the static
-          // verdict: the analyzer must prove the magic graph acyclic,
-          // unless the caller opted into a dynamic attempt under the
-          // governor (or the ranking admitted it as statically safe).
-          struct Tier {
-            std::string name;  ///< also the fault-injection site suffix
-            PlanKind kind;
-            std::string description;
-            std::function<Result<MethodRun>()> run;
-          };
-          std::string counting_note;
-          bool ranked = false;
-          std::vector<std::string> ids =
-              LadderMethodIds(options, *analysis, &counting_note, &ranked);
-          analysis::Verdict counting_verdict =
-              analysis->safety.VerdictFor("counting");
-          std::vector<Tier> ladder;
-          for (const std::string& id : ids) {
-            if (id == "counting") {
-              std::string description =
-                  counting_verdict == analysis::Verdict::kSafe
-                      ? "pure counting (statically proven safe: acyclic "
-                        "magic graph)"
-                      : std::string("pure counting (statically ") +
-                            (counting_verdict == analysis::Verdict::kUnsafe
-                                 ? "unsafe"
-                                 : "undecidable") +
-                            ", attempted under the governor)";
-              ladder.push_back({"counting", PlanKind::kCounting,
-                                std::move(description),
-                                [&solver, &run_options] {
-                                  return solver.RunCounting(run_options);
-                                }});
-            } else if (id == "magic_sets") {
-              ladder.push_back({"magic_sets", PlanKind::kMagicSets,
-                                "magic sets (safe bottom of the degradation "
-                                "ladder)",
-                                [&solver, &run_options] {
-                                  return solver.RunMagicSets(run_options);
-                                }});
-            } else {
-              McVariant variant{};
-              McMode mode{};
-              if (!ParseMcId(id, &variant, &mode)) continue;
-              // Full-word tier name: the fault-injection sites and attempt
-              // logs predate the short cost-table ids and keep their form.
-              std::string label =
-                  McVariantToString(variant) + "/" + McModeToString(mode);
-              ladder.push_back({"mc/" + label, PlanKind::kMagicCounting,
-                                "magic counting (" + label + ")",
-                                [&solver, &run_options, variant, mode] {
-                                  return solver.RunMagicCounting(
-                                      variant, mode, run_options);
-                                }});
-            }
-          }
-          if (ranked) {
-            counting_note += "; method order auto-selected by predicted cost";
-          }
-
-          Status last = Status::OK();
-          for (size_t ti = 0; ti < ladder.size(); ++ti) {
-            const Tier& tier = ladder[ti];
-            Timer attempt_timer;
-            Status injected =
-                util::FaultInjection::Instance().Check("planner/" + tier.name);
-            Result<MethodRun> run = injected.ok()
-                                        ? tier.run()
-                                        : Result<MethodRun>(injected);
-            PlanAttempt attempt;
-            attempt.method = tier.name;
-            attempt.status = run.ok() ? Status::OK() : run.status();
-            attempt.abort = runtime::ClassifyAbort(attempt.status);
-            attempt.seconds = attempt_timer.ElapsedSeconds();
-            attempt.predicted_reads = PredictedFor(analysis->cost, tier.name);
-            attempts.push_back(std::move(attempt));
-            if (run.ok()) {
-              PlanReport report;
-              report.kind = tier.kind;
-              report.predicted_reads = attempts.back().predicted_reads;
-              report.description =
-                  tier.description + " over " + csl->ToString() + how +
-                  (split->support.rules.empty() ? ""
-                                                : " with materialized "
-                                                  "support") +
-                  counting_note;
-              if (attempts.size() > 1) {
-                report.description +=
-                    "; degradation ladder: " + AttemptLogSummary(attempts);
-              }
-              report.detected_class = run->detected_class;
-              for (Value v : run->answers) {
-                report.results.push_back(Tuple{v});
-              }
-              AccessStats after = db->stats();
-              report.stats.tuples_read =
-                  after.tuples_read - before.tuples_read;
-              return finish_report(std::move(report));
-            }
-            last = run.status();
-            if (!options.allow_fallback || !IsRecoverableAbort(last) ||
-                ti + 1 == ladder.size()) {
-              return WithAttemptLog(last, attempts);
-            }
-          }
-          return WithAttemptLog(last, attempts);  // unreachable: ladder != []
-        }
-      }
-    }
-  }
-
-  // --- Path 2: generalized magic sets when the goal carries bindings. ---
-  bool has_binding = false;
-  for (const dl::Term& t : query.goal.args) {
-    if (t.IsConstant()) has_binding = true;
-  }
-  if (options.allow_magic_sets && has_binding) {
-    auto magic = rewrite::MagicRewrite(program, query.goal);
-    if (magic.ok()) {
-      MCM_RETURN_NOT_OK(
-          util::FaultInjection::Instance().Check("planner/magic_rewrite"));
+  if (route.path == Route::Path::kStronglyLinear) {
+    // Materialize derived support predicates first.
+    if (!route.split.support.rules.empty()) {
       eval::EvalOptions eopts = governed_eopts();
+      eopts.assume_validated = true;
       eval::Engine engine(db, eopts);
-      // Note: the rewritten program is *not* the analyzed one (magic
-      // predicates violate the head-boundedness checks by design), so it is
-      // validated by the engine as usual.
+      MCM_RETURN_NOT_OK(engine.Run(route.split.support));
+    }
+    std::string how;
+    rewrite::CslQuery csl;
+    if (route.csl.ok()) {
+      csl = *route.csl;
+    } else if (route.slq.ok()) {
+      MCM_ASSIGN_OR_RETURN(csl,
+                           rewrite::MaterializeStronglyLinear(db, *route.slq));
+      how = " via composed L/E/R (" + route.slq->ToString() + ")";
+    } else {
+      // Reverse-bound query P(X, b): run the mirrored forward query over
+      // (L'=R, E'=E swapped, R'=L).
+      MCM_RETURN_NOT_OK(rewrite::MaterializeSwappedE(
+          db, route.rev->original_e, "mcm_eswap"));
+      csl = route.rev->csl;
+      how = " via reverse binding (mirrored query)";
+    }
+    Value a = rewrite::ResolveSource(csl, db);
+    CslSolver solver(db, csl.l, csl.e, csl.r, a);
+
+    // Every rung evaluates a machine-generated rewrite of the program the
+    // analyzer above already validated, so the engine may skip its
+    // per-rung re-validation.
+    RunOptions run_options = options.run;
+    run_options.assume_validated = true;
+    analysis::Verdict counting_verdict =
+        analysis.safety.VerdictFor("counting");
+
+    Status last = Status::OK();
+    for (const Rung& rung : route.rungs) {
+      std::string name = TierName(rung);
       Timer attempt_timer;
-      Status st = engine.Run(magic->program);
-      attempts.push_back(PlanAttempt{"magic_rewrite", st,
-                                     runtime::ClassifyAbort(st),
-                                     attempt_timer.ElapsedSeconds()});
-      if (st.ok()) {
-        MCM_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                             engine.Query(magic->adorned_goal));
+      Status injected =
+          util::FaultInjection::Instance().Check("planner/" + name);
+      Result<MethodRun> run = injected.ok()
+                                  ? RunTier(&solver, rung, run_options)
+                                  : Result<MethodRun>(injected);
+      PlanAttempt attempt;
+      attempt.method = name;
+      attempt.status = run.ok() ? Status::OK() : run.status();
+      attempt.abort = runtime::ClassifyAbort(attempt.status);
+      attempt.seconds = attempt_timer.ElapsedSeconds();
+      attempt.predicted_reads = PredictedFor(analysis.cost, rung);
+      attempts.push_back(std::move(attempt));
+      if (run.ok()) {
         PlanReport report;
-        report.kind = PlanKind::kMagicSets;
-        report.description = "generalized magic sets (goal pattern drives " +
-                             magic->adorned_goal.predicate + ")";
-        report.results = std::move(tuples);
-        AccessStats after = db->stats();
-        report.stats.tuples_read = after.tuples_read - before.tuples_read;
+        report.kind = rung.kind;
+        report.predicted_reads = attempts.back().predicted_reads;
+        report.description =
+            TierDescription(rung, counting_verdict) + " over " +
+            csl.ToString() + how +
+            (route.split.support.rules.empty() ? ""
+                                               : " with materialized support") +
+            route.note +
+            (route.ranked ? "; method order auto-selected by predicted cost"
+                          : "");
+        if (attempts.size() > 1) {
+          report.description +=
+              "; degradation ladder: " + AttemptLogSummary(attempts);
+        }
+        report.detected_class = run->detected_class;
+        for (Value v : run->answers) report.results.push_back(Tuple{v});
         return finish_report(std::move(report));
       }
-      // The governor's deadline/cancellation is global to this plan, so a
-      // retry cannot succeed — propagate. Other failures (non-stratifiable
-      // or unsafe rewritten program, cap trips) fall through to bottom-up.
-      if (st.IsCancelled() || st.IsDeadlineExceeded() ||
-          !options.allow_fallback) {
-        return WithAttemptLog(st, attempts);
-      }
+      last = run.status();
+      if (!IsRecoverableAbort(last)) break;
+    }
+    return WithAttemptLog(last, attempts);
+  }
+
+  if (route.path == Route::Path::kMagicRewrite) {
+    MCM_RETURN_NOT_OK(
+        util::FaultInjection::Instance().Check("planner/magic_rewrite"));
+    eval::Engine engine(db, governed_eopts());
+    // Note: the rewritten program is *not* the analyzed one (magic
+    // predicates violate the head-boundedness checks by design), so it is
+    // validated by the engine as usual.
+    Timer attempt_timer;
+    Status st = engine.Run(route.magic->program);
+    attempts.push_back(PlanAttempt{"magic_rewrite", st,
+                                   runtime::ClassifyAbort(st),
+                                   attempt_timer.ElapsedSeconds()});
+    if (st.ok()) {
+      MCM_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
+                           engine.Query(route.magic->adorned_goal));
+      PlanReport report;
+      report.kind = PlanKind::kMagicSets;
+      report.description = "generalized magic sets (goal pattern drives " +
+                           route.magic->adorned_goal.predicate + ")";
+      report.results = std::move(tuples);
+      return finish_report(std::move(report));
+    }
+    // The governor's deadline/cancellation is global to this plan, so a
+    // retry cannot succeed — propagate. Other failures (non-stratifiable
+    // or unsafe rewritten program, cap trips) degrade to bottom-up when the
+    // ladder holds that rung.
+    if (st.IsCancelled() || st.IsDeadlineExceeded() ||
+        !Holds(options.ladder, Rung::Kind::kBottomUp)) {
+      return WithAttemptLog(st, attempts);
     }
   }
 
-  // --- Path 3: plain bottom-up evaluation. ---
+  // Plain bottom-up evaluation.
   MCM_RETURN_NOT_OK(
       util::FaultInjection::Instance().Check("planner/bottom_up"));
   eval::EvalOptions eopts = governed_eopts();
@@ -526,8 +586,6 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
   report.kind = PlanKind::kBottomUp;
   report.description = "bottom-up seminaive evaluation";
   report.results = std::move(tuples);
-  AccessStats after = db->stats();
-  report.stats.tuples_read = after.tuples_read - before.tuples_read;
   return finish_report(std::move(report));
 }
 
@@ -535,71 +593,47 @@ Result<PlanReport> ExplainProgram(const Database* db,
                                   const dl::Program& program,
                                   const PlannerOptions& options) {
   analysis::AnalysisResult local_analysis;
-  const analysis::AnalysisResult* analysis = options.analysis;
-  if (analysis == nullptr) {
-    analysis::AnalyzeOptions aopts;
-    aopts.db = db;
-    local_analysis = analysis::Analyze(program, aopts);
-    analysis = &local_analysis;
-  }
-  MCM_RETURN_NOT_OK(analysis->ToStatus());
-  if (program.queries.size() != 1) {
-    return Status::Unsupported("planner expects exactly one query");
-  }
-  const dl::Query& query = program.queries[0];
+  const analysis::AnalysisResult& analysis =
+      AnalysisFor(db, program, options, &local_analysis);
+  MCM_RETURN_NOT_OK(analysis.ToStatus());
+  MCM_ASSIGN_OR_RETURN(Route route,
+                       PlanRoute(*db, program, options, analysis));
 
   PlanReport report;
-  report.diagnostics = analysis->diagnostics.diagnostics();
-  report.safety = analysis->safety;
-  report.cost = analysis->cost;
-
-  // Mirror SolveProgram's strategy choice without executing anything: the
-  // safety pass already classified the query form, so the CSL path is taken
-  // exactly when it recognized a strongly linear shape.
-  if (options.allow_magic_counting &&
-      analysis->safety.form != analysis::QueryForm::kNotStronglyLinear) {
-    std::string counting_note;
-    bool ranked = false;
-    std::vector<std::string> ids =
-        LadderMethodIds(options, *analysis, &counting_note, &ranked);
-    if (!ids.empty()) {
-      const std::string& chosen = ids.front();
-      if (chosen == "counting") {
-        report.kind = PlanKind::kCounting;
-      } else if (chosen == "magic_sets") {
-        report.kind = PlanKind::kMagicSets;
-      } else {
-        report.kind = PlanKind::kMagicCounting;
-      }
-      report.predicted_reads = PredictedFor(analysis->cost, chosen);
-      report.description =
-          "explain: would run " + chosen + " over " +
-          analysis->safety.signature +
-          (ranked ? " (order auto-selected by predicted cost)" : "") +
-          counting_note + "; ladder: " + Join(ids, " -> ");
-      for (const std::string& id : ids) {
+  report.diagnostics = analysis.diagnostics.diagnostics();
+  report.safety = analysis.safety;
+  report.cost = analysis.cost;
+  switch (route.path) {
+    case Route::Path::kStronglyLinear: {
+      const Rung& chosen = route.rungs.front();
+      std::vector<std::string> ids;
+      for (const Rung& rung : route.rungs) {
         PlanAttempt attempt;
-        attempt.method = id;
-        attempt.predicted_reads = PredictedFor(analysis->cost, id);
+        attempt.method = rung.Id();
+        attempt.predicted_reads = PredictedFor(analysis.cost, rung);
+        ids.push_back(attempt.method);
         report.attempts.push_back(std::move(attempt));
       }
-      return report;
+      report.kind = chosen.kind;
+      report.predicted_reads = PredictedFor(analysis.cost, chosen);
+      report.description =
+          "explain: would run " + chosen.Id() + " over " +
+          analysis.safety.signature +
+          (route.ranked ? " (order auto-selected by predicted cost)" : "") +
+          route.note + "; ladder: " + Join(ids, " -> ");
+      break;
     }
+    case Route::Path::kMagicRewrite:
+      report.kind = PlanKind::kMagicSets;
+      report.description =
+          "explain: would run generalized magic sets (goal pattern drives " +
+          program.queries[0].goal.predicate + ")";
+      break;
+    case Route::Path::kBottomUp:
+      report.kind = PlanKind::kBottomUp;
+      report.description = "explain: would run bottom-up seminaive evaluation";
+      break;
   }
-
-  bool has_binding = false;
-  for (const dl::Term& t : query.goal.args) {
-    if (t.IsConstant()) has_binding = true;
-  }
-  if (options.allow_magic_sets && has_binding) {
-    report.kind = PlanKind::kMagicSets;
-    report.description =
-        "explain: would run generalized magic sets (goal pattern drives " +
-        query.goal.predicate + ")";
-    return report;
-  }
-  report.kind = PlanKind::kBottomUp;
-  report.description = "explain: would run bottom-up seminaive evaluation";
   return report;
 }
 

@@ -1,31 +1,27 @@
 // Query planner: evaluate an arbitrary program + query with the best
 // applicable strategy.
 //
-// Strategy selection, in order:
-//  0. The static analyzer (analysis::Analyze) runs once over the program:
-//     validation errors abort planning, and its counting-safety verdict
-//     table gates the strategies below.
-//  1. If the query's recursive part is a canonical strongly linear (CSL)
-//     query — allowing L, E, R to be *derived* predicates defined in lower,
-//     non-recursive strata, the generalization Section 1 of the paper
-//     mentions — the support strata are materialized first and the query is
-//     answered with a magic counting method (by default: multiple /
-//     integrated, the best safe all-rounder of the family). When the caller
-//     opts into plain counting, it is selected only if the analyzer
-//     statically proved the magic graph acyclic; a cyclic (or undecidable)
-//     verdict makes the planner refuse counting and keep the safe method.
-//  2. Otherwise, if the query has at least one bound argument, the
-//     generalized magic set rewriting is applied and the rewritten program
-//     evaluated.
+// The policy is three values in PlannerOptions: an ordered rung list (the
+// degradation ladder), a CountingPolicy for the plain-counting rung, and a
+// LadderOrder. One routing function, shared by SolveProgram and
+// ExplainProgram, turns them into a plan after the static analyzer has run
+// (its errors abort planning; its verdicts and cost ranking feed the ladder):
+//  1. Strongly linear path: when the goal is a canonical strongly linear
+//     (CSL) query — L, E, R may be *derived* in lower strata (the paper's
+//     Section 1 generalization) or conjunctions (composed), or the binding
+//     may sit on the second argument (mirrored) — and the request asks for
+//     the counting family (a counting or magic-counting rung, or a counting
+//     policy other than kNever), the support strata are materialized and the
+//     ladder's counting, magic-counting and magic-sets rungs run in order.
+//  2. Otherwise, if the goal has a bound argument and the list holds a rung
+//     other than bottom-up, the generalized magic-set rewriting runs; a
+//     failure degrades to bottom-up when the list holds that rung.
 //  3. Otherwise the program is evaluated bottom-up as-is.
 //
-// Runtime safety net: every execution is governed (deadline, cancellation,
-// iteration/tuple/memory caps from RunOptions), and on the strongly linear
-// path a dynamic abort triggers retry-with-degradation down the paper's
-// Figure 3 hierarchy — counting, then the magic counting variants, then
-// plain magic sets (always safe). Each try is recorded in
-// PlanReport::attempts so callers can see what was tried, why it failed,
-// and what finally answered the query.
+// Every execution is governed (deadline, cancellation, iteration/tuple/
+// memory caps from RunOptions). On the strongly linear path a recoverable
+// abort (kUnsafe, kDeadlineExceeded) moves on to the next rung, so a
+// one-rung list means "no fallback". PlanReport::attempts records each try.
 #pragma once
 
 #include <string>
@@ -39,61 +35,91 @@
 
 namespace mcm::core {
 
-/// Which strategy the planner ended up using.
+/// A strategy: the kind of a ladder rung, and which one answered a query.
 enum class PlanKind : uint8_t {
-  kCounting,       ///< pure counting (only when statically proven safe)
+  kCounting,       ///< pure counting, gated by CountingPolicy
   kMagicCounting,  ///< CSL path: Step1 + Step2 of the chosen MC method
-  kMagicSets,      ///< generalized magic rewriting
+  kMagicSets,      ///< magic sets: the safe bottom of the CSL ladder, or the
+                   ///< generalized rewriting off the strongly linear path
   kBottomUp,       ///< plain seminaive evaluation
 };
 
 std::string PlanKindToString(PlanKind k);
 
-struct PlannerOptions {
-  /// MC method used on the CSL path.
+/// One rung of the degradation ladder.
+struct Rung {
+  using Kind = PlanKind;
+  /// variant/mode matter for kMagicCounting only; the other rungs keep the
+  /// defaults, so == compares all three.
+  Kind kind = Kind::kMagicSets;
   McVariant variant = McVariant::kMultiple;
   McMode mode = McMode::kIntegrated;
+
+  static Rung Counting() { return {Kind::kCounting}; }
+  static Rung Mc(McVariant v, McMode m) {
+    return {Kind::kMagicCounting, v, m};
+  }
+  static Rung MagicSets() { return {Kind::kMagicSets}; }
+  static Rung BottomUp() { return {Kind::kBottomUp}; }
+
+  /// Counting and magic counting: the rungs the circuit breaker skips.
+  bool counting_based() const {
+    return kind == Kind::kCounting || kind == Kind::kMagicCounting;
+  }
+  /// The cost-table id: "counting", "mc/<variant>/<ind|int>", "magic_sets",
+  /// "bottom_up".
+  std::string Id() const;
+  /// Inverse of Id(); false on an unknown id.
+  static bool FromId(const std::string& id, Rung* out);
+  bool operator==(const Rung& o) const {
+    return kind == o.kind && variant == o.variant && mode == o.mode;
+  }
+};
+
+/// The Figure 3 walk from one magic counting method down: `variant`/`mode`,
+/// the safer variants (single -> multiple -> recurring) in the same mode,
+/// magic sets, then bottom-up. Callers that want plain counting put
+/// Rung::Counting() in front.
+std::vector<Rung> SafeLadder(McVariant variant = McVariant::kMultiple,
+                             McMode mode = McMode::kIntegrated);
+
+/// When the plain-counting rung may run.
+enum class CountingPolicy : uint8_t {
+  kNever,         ///< skip it
+  kIfProvenSafe,  ///< only on a statically proven acyclic magic graph
+  kGoverned,      ///< also when unsafe or undecidable, under the governor;
+                  ///< the caps stop divergence and the next rung answers
+};
+
+/// How the strongly linear path orders the ladder.
+enum class LadderOrder : uint8_t {
+  kAsListed,  ///< the list's order (fixed Figure 3 walk)
+  /// The analyzer's predicted-cost ranking (cheapest safe method first)
+  /// supplies the rungs of every kind the list holds, in ranking order; the
+  /// list's own order applies when the cost parameters were not derivable.
+  kPredictedCost,
+};
+
+struct PlannerOptions {
+  std::vector<Rung> ladder = SafeLadder();
+  CountingPolicy counting = CountingPolicy::kNever;
+  LadderOrder order = LadderOrder::kAsListed;
   RunOptions run;
-  /// Cost-ranked method selection: when the analyzer's cost pass computed a
-  /// report, the degradation ladder follows its predicted-cost ranking
-  /// (cheapest safe method first) instead of the fixed hierarchy walk, and
-  /// plain counting is eligible whenever it is statically safe — the
-  /// ranking subsumes the allow_plain_counting opt-in. Falls back to the
-  /// fixed order when the cost parameters were not derivable.
-  bool auto_select = false;
-  /// Disable the CSL fast path (for comparison runs).
-  bool allow_magic_counting = true;
-  /// Disable the magic-set rewriting fallback.
-  bool allow_magic_sets = true;
-  /// Prefer pure counting on the CSL path when the analyzer statically
-  /// proves the magic graph acyclic. On a cyclic (or undecidable) verdict
-  /// the planner *refuses* counting and uses the configured MC method —
-  /// the refusal is recorded in PlanReport::description.
-  bool allow_plain_counting = false;
-  /// With allow_plain_counting: attempt counting under the governor even
-  /// when the static verdict is unsafe or undecidable, relying on the caps
-  /// and the degradation ladder to recover. This is the dynamic complement
-  /// to the static gate — safety becomes data-dependent, as the paper
-  /// argues, instead of all-or-nothing.
-  bool attempt_unsafe_counting = false;
-  /// Skip every counting-based rung and answer with the always-safe
-  /// magic-set rung directly (the ladder becomes a single "magic_sets"
-  /// entry). Set by the query service's per-signature circuit breaker once
-  /// a query shape has diverged repeatedly: there is no point paying for
-  /// the doomed counting attempt again. Overrides allow_plain_counting /
-  /// auto_select on the strongly linear path; the non-CSL paths (magic
-  /// rewriting, bottom-up) are unaffected.
-  bool force_safe_method = false;
-  /// Retry-with-degradation: when a strongly-linear attempt aborts with
-  /// kUnsafe or kDeadlineExceeded, re-run with the next-safer method in the
-  /// Figure 3 hierarchy (counting -> single/multiple/recurring MC -> magic
-  /// sets). Cancellation is never retried. When false, the first abort is
-  /// returned to the caller as-is (plus the attempt log in the message).
-  bool allow_fallback = true;
   /// Precomputed analysis of `program` against the same database. When
   /// null, SolveProgram runs the analyzer itself.
   const analysis::AnalysisResult* analysis = nullptr;
 };
+
+/// Whether `options` may put plain counting on the ladder: the requests the
+/// query service's circuit breaker watches.
+bool AdmitsCounting(const PlannerOptions& options);
+
+/// Drop every counting-based rung, keeping (or adding) magic sets: the
+/// query service's circuit breaker applies this once a query shape has
+/// diverged repeatedly, so the strongly linear path answers with the safe
+/// bottom rung directly. The counting policy stays, so a strongly linear
+/// query still takes that path.
+void SkipCountingRungs(PlannerOptions* options);
 
 /// One entry of the planner's execution attempt log.
 struct PlanAttempt {

@@ -5,7 +5,7 @@
 // iteration-cap's worth of rounds before magic sets answer. The breaker
 // remembers *which* (program, binding) signatures keep diverging and, after
 // K strikes, short-circuits them straight to the safe magic-set rung
-// (PlannerOptions::force_safe_method). After a cooldown the breaker
+// (core::SkipCountingRungs). After a cooldown the breaker
 // half-opens and lets exactly one probe request try counting again — data
 // changes between requests, so a once-cyclic reachable subgraph may have
 // become acyclic; success closes the circuit, another divergence re-opens it.

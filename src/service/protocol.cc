@@ -135,12 +135,14 @@ Result<uint64_t> ParseBatchHeader(std::string_view line, uint64_t max_batch) {
 }
 
 void ApplyMethod(std::string_view method, core::PlannerOptions* planner) {
+  if (method != "auto" && method != "counting") return;  // "safe": defaults
+  planner->ladder.insert(planner->ladder.begin(), core::Rung::Counting());
   if (method == "auto") {
-    planner->auto_select = true;
-  } else if (method == "counting") {
-    planner->allow_plain_counting = true;
-    planner->attempt_unsafe_counting = true;
-  }  // "safe": planner defaults
+    planner->counting = core::CountingPolicy::kIfProvenSafe;
+    planner->order = core::LadderOrder::kPredictedCost;
+  } else {
+    planner->counting = core::CountingPolicy::kGoverned;
+  }
 }
 
 QueryRequest MakeRequest(const std::string& rules,

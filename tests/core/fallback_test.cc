@@ -40,6 +40,14 @@ std::vector<Value> AnswerColumn(const std::vector<Tuple>& tuples) {
   return out;
 }
 
+/// The default ladder with plain counting in front, admitted per `policy`.
+PlannerOptions CountingFirst(CountingPolicy policy) {
+  PlannerOptions options;
+  options.ladder.insert(options.ladder.begin(), Rung::Counting());
+  options.counting = policy;
+  return options;
+}
+
 class FallbackTest : public ::testing::Test {
  protected:
   void TearDown() override { util::FaultInjection::Instance().DisarmAll(); }
@@ -67,9 +75,8 @@ class FallbackTest : public ::testing::Test {
 TEST_F(FallbackTest, RealDivergenceFallsBackAndAnswersMatchReference) {
   workload::CslData data = CyclicData();
   data.Load(&db_);
-  PlannerOptions options;
-  options.allow_plain_counting = true;
-  options.attempt_unsafe_counting = true;  // try it anyway, governed
+  // Try counting anyway, governed.
+  PlannerOptions options = CountingFirst(CountingPolicy::kGoverned);
   auto report = Solve(kCslSrc, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -98,8 +105,8 @@ TEST_F(FallbackTest, InjectedFaultsWalkTheWholeLadderToMagicSets) {
   fi.Arm("planner/mc/recurring/integrated",
          Status::DeadlineExceeded("injected deadline"));
 
-  PlannerOptions options;
-  options.allow_plain_counting = true;  // verdict is safe on this instance
+  // The verdict is safe on this instance.
+  PlannerOptions options = CountingFirst(CountingPolicy::kIfProvenSafe);
   auto report = Solve(kCslSrc, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kMagicSets);
@@ -124,7 +131,8 @@ TEST_F(FallbackTest, ConfiguredVariantOnlyDegradesToSaferOnes) {
   util::FaultInjection::Instance().Arm(
       "planner/mc/single/integrated", Status::Unsafe("injected: tuple cap"));
   PlannerOptions options;
-  options.variant = McVariant::kSingle;  // rank 1: multiple+recurring remain
+  // Rank 1: multiple and recurring remain below it.
+  options.ladder = SafeLadder(McVariant::kSingle);
   auto report = Solve(kCslSrc, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->attempts.size(), 2u);
@@ -136,10 +144,8 @@ TEST_F(FallbackTest, ConfiguredVariantOnlyDegradesToSaferOnes) {
 TEST_F(FallbackTest, NoFallbackReturnsTheAbortAsIs) {
   workload::CslData data = CyclicData();
   data.Load(&db_);
-  PlannerOptions options;
-  options.allow_plain_counting = true;
-  options.attempt_unsafe_counting = true;
-  options.allow_fallback = false;
+  PlannerOptions options = CountingFirst(CountingPolicy::kGoverned);
+  options.ladder.resize(1);  // one rung: no fallback
   auto report = Solve(kCslSrc, options);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsUnsafe());
@@ -155,7 +161,7 @@ TEST_F(FallbackTest, NoFallbackWithInjectedFault) {
       "planner/mc/multiple/integrated",
       Status::DeadlineExceeded("injected deadline"));
   PlannerOptions options;
-  options.allow_fallback = false;
+  options.ladder.resize(1);  // one rung: no fallback
   auto report = Solve(kCslSrc, options);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsDeadlineExceeded());
@@ -185,9 +191,8 @@ TEST_F(FallbackTest, LadderExhaustionReportsEveryAttempt) {
   // tier fails with a recoverable abort until the ladder runs dry.
   fi.Arm("solver/run", Status::Unsafe("injected: iteration cap"), /*nth=*/1,
          /*sticky=*/true);
-  PlannerOptions options;
-  options.allow_plain_counting = true;
-  auto report = Solve(kCslSrc, options);
+  auto report =
+      Solve(kCslSrc, CountingFirst(CountingPolicy::kIfProvenSafe));
   fi.DisarmAll();
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsUnsafe());

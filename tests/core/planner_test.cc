@@ -10,6 +10,22 @@
 namespace mcm::core {
 namespace {
 
+/// The default ladder with plain counting in front, admitted per `policy`.
+PlannerOptions CountingFirst(CountingPolicy policy,
+                             LadderOrder order = LadderOrder::kAsListed) {
+  PlannerOptions options;
+  options.ladder.insert(options.ladder.begin(), Rung::Counting());
+  options.counting = policy;
+  options.order = order;
+  return options;
+}
+
+/// mcmq --method auto: counting when proven safe, cost-ranked order.
+PlannerOptions Auto() {
+  return CountingFirst(CountingPolicy::kIfProvenSafe,
+                       LadderOrder::kPredictedCost);
+}
+
 class PlannerTest : public ::testing::Test {
  protected:
   Result<PlanReport> Solve(const std::string& src,
@@ -104,14 +120,13 @@ TEST_F(PlannerTest, PathsAgreeOnCslInstances) {
   EXPECT_EQ(a->kind, PlanKind::kMagicCounting);
 
   PlannerOptions magic_only;
-  magic_only.allow_magic_counting = false;
+  magic_only.ladder = {Rung::MagicSets(), Rung::BottomUp()};
   auto b = Solve(src, magic_only);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b->kind, PlanKind::kMagicSets);
 
   PlannerOptions bottom_up;
-  bottom_up.allow_magic_counting = false;
-  bottom_up.allow_magic_sets = false;
+  bottom_up.ladder = {Rung::BottomUp()};
   auto c = Solve(src, bottom_up);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->kind, PlanKind::kBottomUp);
@@ -138,7 +153,7 @@ TEST_F(PlannerTest, CyclicDataStaysSafeOnMcPath) {
   // The smart variant reports the exact graph class; the default multiple
   // variant would only see "non-regular".
   PlannerOptions options;
-  options.variant = McVariant::kRecurringSmart;
+  options.ladder = SafeLadder(McVariant::kRecurringSmart);
   auto report = Solve(R"(
     p(X, Y) :- e(X, Y).
     p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
@@ -184,9 +199,7 @@ TEST_F(PlannerTest, PlainCountingChosenWhenStaticallySafe) {
     p(X, Y) :- l(X, X1), p(X1, Y1), r(Y, Y1).
     p(0, Y)?
   )";
-  PlannerOptions options;
-  options.allow_plain_counting = true;
-  auto report = Solve(src, options);
+  auto report = Solve(src, CountingFirst(CountingPolicy::kIfProvenSafe));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kCounting);
   EXPECT_EQ(report->safety.VerdictFor("counting"),
@@ -209,9 +222,7 @@ TEST_F(PlannerTest, PlainCountingRefusedOnCyclicMagicGraph) {
     p(0, Y)?
   )";
 
-  PlannerOptions options;
-  options.allow_plain_counting = true;
-  auto report = Solve(src, options);
+  auto report = Solve(src, CountingFirst(CountingPolicy::kIfProvenSafe));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // The static verdict is unsafe, so the planner must refuse pure counting
   // and keep the magic counting method.
@@ -229,7 +240,7 @@ TEST_F(PlannerTest, PlainCountingRefusedOnCyclicMagicGraph) {
   Database db2;
   data.Load(&db2);
   PlannerOptions magic_only;
-  magic_only.allow_magic_counting = false;
+  magic_only.ladder = {Rung::MagicSets(), Rung::BottomUp()};
   auto prog = dl::Parse(src);
   ASSERT_TRUE(prog.ok());
   auto reference = SolveProgram(&db2, *prog, magic_only);
@@ -288,9 +299,8 @@ TEST_F(PlannerTest, PrecomputedAnalysisIsReused) {
   analysis::AnalyzeOptions aopts;
   aopts.db = &db_;
   analysis::AnalysisResult precomputed = analysis::Analyze(*prog, aopts);
-  PlannerOptions options;
+  PlannerOptions options = CountingFirst(CountingPolicy::kIfProvenSafe);
   options.analysis = &precomputed;
-  options.allow_plain_counting = true;
   auto report = SolveProgram(&db_, *prog, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kCounting);
@@ -312,13 +322,12 @@ constexpr const char* kCslSource = R"(
 
 TEST_F(PlannerTest, AutoSelectFollowsCostRanking) {
   // A wide regular tree: the cost model predicts plain counting cheapest,
-  // so auto_select must run it even though allow_plain_counting is off —
-  // the ranking only admits counting when it is statically safe.
+  // so the cost order runs it: auto admits counting only when it is
+  // statically safe.
   workload::CslData data =
       workload::AssembleCsl(workload::MakeTreeL(2, 3), {});
   data.Load(&db_);
-  PlannerOptions options;
-  options.auto_select = true;
+  PlannerOptions options = Auto();
   auto report = Solve(kCslSource, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kCounting);
@@ -332,8 +341,7 @@ TEST_F(PlannerTest, AutoSelectRecordsPredictedVsActual) {
   workload::CslData data =
       workload::AssembleCsl(workload::MakeTreeL(2, 3), {});
   data.Load(&db_);
-  PlannerOptions options;
-  options.auto_select = true;
+  PlannerOptions options = Auto();
   auto report = Solve(kCslSource, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // The winning attempt and the report share the prediction; it must be in
@@ -354,8 +362,7 @@ TEST_F(PlannerTest, AutoSelectNeverPicksCountingWhenCyclic) {
   workload::CslData data =
       workload::AssembleCsl(workload::MakeLayeredL(spec), {});
   data.Load(&db_);
-  PlannerOptions options;
-  options.auto_select = true;
+  PlannerOptions options = Auto();
   auto report = Solve(kCslSource, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->kind, PlanKind::kCounting);
@@ -370,8 +377,7 @@ TEST_F(PlannerTest, ExplainReportsWithoutExecuting) {
   data.Load(&db_);
   auto prog = dl::Parse(kCslSource);
   ASSERT_TRUE(prog.ok());
-  PlannerOptions options;
-  options.auto_select = true;
+  PlannerOptions options = Auto();
   auto report = ExplainProgram(&db_, *prog, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // No fixpoint ran: no results, and (apart from the analyzer's statistics
@@ -412,6 +418,89 @@ TEST_F(PlannerTest, ExplainNonCslQuery) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->kind, PlanKind::kMagicSets);
   EXPECT_TRUE(report->results.empty());
+}
+
+TEST_F(PlannerTest, ExplainAndSolveAgreeWhenAnLerRelationIsMissing) {
+  // The query has the CSL shape, but no `l` relation exists and no rule
+  // defines one: the solver cannot run the strongly linear ladder. Explain
+  // and solve share one routing decision, so both say generalized magic
+  // sets.
+  db_.GetOrCreateRelation("e", 2)->Insert2(0, 100);
+  db_.GetOrCreateRelation("r", 2)->Insert2(100, 101);
+  auto prog = dl::Parse(kCslSource);
+  ASSERT_TRUE(prog.ok());
+  auto explain = ExplainProgram(&db_, *prog);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->kind, PlanKind::kMagicSets);
+  EXPECT_TRUE(explain->attempts.empty());
+  auto report = Solve(kCslSource);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->kind, PlanKind::kMagicSets);
+  ASSERT_EQ(report->attempts.size(), 1u);
+  EXPECT_EQ(report->attempts[0].method, "magic_rewrite");
+}
+
+TEST(RungTest, IdsRoundTrip) {
+  std::vector<Rung> rungs{Rung::Counting(), Rung::MagicSets(),
+                          Rung::BottomUp()};
+  for (McVariant v : {McVariant::kBasic, McVariant::kSingle,
+                      McVariant::kMultiple, McVariant::kRecurring,
+                      McVariant::kRecurringSmart}) {
+    for (McMode m : {McMode::kIndependent, McMode::kIntegrated}) {
+      rungs.push_back(Rung::Mc(v, m));
+    }
+  }
+  for (const Rung& r : rungs) {
+    Rung parsed;
+    ASSERT_TRUE(Rung::FromId(r.Id(), &parsed)) << r.Id();
+    EXPECT_EQ(parsed, r) << r.Id();
+  }
+  EXPECT_EQ(Rung::Mc(McVariant::kSingle, McMode::kIndependent).Id(),
+            "mc/single/ind");
+  Rung unused;
+  EXPECT_FALSE(Rung::FromId("mc/single", &unused));
+  EXPECT_FALSE(Rung::FromId("mc/triple/int", &unused));
+  EXPECT_FALSE(Rung::FromId("magic", &unused));
+}
+
+TEST(RungTest, SafeLadderWalksTheFigure3Hierarchy) {
+  auto ids = [](const std::vector<Rung>& ladder) {
+    std::vector<std::string> out;
+    for (const Rung& r : ladder) out.push_back(r.Id());
+    return out;
+  };
+  EXPECT_EQ(ids(SafeLadder()),
+            (std::vector<std::string>{"mc/multiple/int", "mc/recurring/int",
+                                      "magic_sets", "bottom_up"}));
+  EXPECT_EQ(ids(SafeLadder(McVariant::kBasic, McMode::kIndependent)),
+            (std::vector<std::string>{"mc/basic/ind", "mc/single/ind",
+                                      "mc/multiple/ind", "mc/recurring/ind",
+                                      "magic_sets", "bottom_up"}));
+  EXPECT_EQ(ids(SafeLadder(McVariant::kRecurringSmart)),
+            (std::vector<std::string>{"mc/recurring_smart/int", "magic_sets",
+                                      "bottom_up"}));
+}
+
+TEST(RungTest, SkipCountingRungsKeepsTheSafeBottom) {
+  PlannerOptions options = Auto();
+  EXPECT_TRUE(AdmitsCounting(options));
+  SkipCountingRungs(&options);
+  EXPECT_FALSE(AdmitsCounting(options));
+  EXPECT_EQ(options.ladder,
+            (std::vector<Rung>{Rung::MagicSets(), Rung::BottomUp()}));
+  EXPECT_EQ(options.counting, CountingPolicy::kIfProvenSafe);
+
+  // A one-rung counting ladder still gets a rung to answer with.
+  PlannerOptions one = CountingFirst(CountingPolicy::kGoverned);
+  one.ladder.resize(1);
+  SkipCountingRungs(&one);
+  EXPECT_EQ(one.ladder, std::vector<Rung>{Rung::MagicSets()});
+
+  // Without the counting rung, or with the policy off, there is nothing for
+  // the breaker to watch.
+  EXPECT_FALSE(AdmitsCounting(PlannerOptions{}));
+  PlannerOptions never = CountingFirst(CountingPolicy::kNever);
+  EXPECT_FALSE(AdmitsCounting(never));
 }
 
 }  // namespace

@@ -129,7 +129,10 @@ TEST(ChaosTest, ConcurrentRandomizedRequestsKeepTheContract) {
   opts.total_memory_bytes = 64ull << 20;
   opts.breaker.strike_threshold = 3;
   opts.breaker.cooldown = milliseconds(40);
-  QueryService svc(&base, opts);
+  VersionedStore store;
+  ASSERT_TRUE(store.Recover().ok());
+  ASSERT_TRUE(store.BootstrapFromDatabase(base).ok());
+  QueryService svc(&store, opts);
 
   struct Submitted {
     size_t instance;
@@ -193,11 +196,16 @@ TEST(ChaosTest, ConcurrentRandomizedRequestsKeepTheContract) {
     } else if (rng.NextBool(0.5)) {
       req.timeout_ms = 2000;
     }
-    if (rng.NextBool(0.4)) {
-      req.planner.allow_plain_counting = true;
-      req.planner.attempt_unsafe_counting = true;
+    // Plain counting, governed ("counting") and/or cost-ranked ("auto").
+    bool governed = rng.NextBool(0.4);
+    bool ranked = rng.NextBool(0.25);
+    if (governed || ranked) {
+      req.planner.ladder.insert(req.planner.ladder.begin(),
+                                core::Rung::Counting());
+      req.planner.counting = governed ? core::CountingPolicy::kGoverned
+                                      : core::CountingPolicy::kIfProvenSafe;
+      if (ranked) req.planner.order = core::LadderOrder::kPredictedCost;
     }
-    if (rng.NextBool(0.25)) req.planner.auto_select = true;
     if (!s.parse_error && rng.NextBool(0.1)) {
       auto prog = dl::Parse(req.program_text);
       ASSERT_TRUE(prog.ok());

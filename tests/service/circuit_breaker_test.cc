@@ -9,6 +9,7 @@
 #include <string>
 
 #include "service/circuit_breaker.h"
+#include "service/protocol.h"
 #include "service/query_service.h"
 #include "util/fault_injection.h"
 #include "workload/generators.h"
@@ -177,26 +178,32 @@ workload::CslData CyclicData() {
 QueryRequest UnsafeCountingRequest() {
   QueryRequest req;
   req.program_text = kCslSrc;
-  req.planner.allow_plain_counting = true;
-  req.planner.attempt_unsafe_counting = true;
-  req.planner.allow_fallback = true;
+  protocol::ApplyMethod("counting", &req.planner);
   return req;
 }
 
 class BreakerIntegrationTest : public ::testing::Test {
  protected:
   void TearDown() override { util::FaultInjection::Instance().DisarmAll(); }
+
+  /// Serve `data` from a single-epoch in-memory store.
+  VersionedStore* StoreOf(const workload::CslData& data) {
+    Database base;
+    data.Load(&base);
+    EXPECT_TRUE(store_.Recover().ok());
+    EXPECT_TRUE(store_.BootstrapFromDatabase(base).ok());
+    return &store_;
+  }
+
+  VersionedStore store_;
 };
 
 TEST_F(BreakerIntegrationTest, RepeatedDivergenceShortCircuitsToMagicSets) {
-  Database base;
-  CyclicData().Load(&base);
-
   ServiceOptions opts;
   opts.workers = 1;  // serialize: strikes accumulate deterministically
   opts.breaker.strike_threshold = 2;
   opts.breaker.cooldown = std::chrono::milliseconds(60000);
-  QueryService svc(&base, opts);
+  QueryService svc(StoreOf(CyclicData()), opts);
 
   // First two requests pay for the doomed counting attempt (ladder saves
   // them), accumulating strikes.
@@ -226,14 +233,11 @@ TEST_F(BreakerIntegrationTest, RepeatedDivergenceShortCircuitsToMagicSets) {
 }
 
 TEST_F(BreakerIntegrationTest, CooldownLetsAProbeTryCountingAgain) {
-  Database base;
-  CyclicData().Load(&base);
-
   ServiceOptions opts;
   opts.workers = 1;
   opts.breaker.strike_threshold = 1;
   opts.breaker.cooldown = std::chrono::milliseconds(50);
-  QueryService svc(&base, opts);
+  QueryService svc(StoreOf(CyclicData()), opts);
 
   auto first = svc.Submit(UnsafeCountingRequest())->Get();
   ASSERT_EQ(first.outcome, Outcome::kOk) << first.status.ToString();
@@ -257,14 +261,40 @@ TEST_F(BreakerIntegrationTest, CooldownLetsAProbeTryCountingAgain) {
   svc.Shutdown(/*drain=*/true);
 }
 
-TEST_F(BreakerIntegrationTest, SafeRequestsNeverConsultTheBreaker) {
-  Database base;
-  workload::MakeFigure1Style().Load(&base);
+TEST_F(BreakerIntegrationTest, SpellingsOfOneQueryShareACircuit) {
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.breaker.strike_threshold = 2;
+  opts.breaker.cooldown = std::chrono::milliseconds(60000);
+  QueryService svc(StoreOf(CyclicData()), opts);
 
+  // The same cyclic query, spelled with different whitespace and a
+  // comment: the breaker keys on the parsed program, so the two strikes
+  // land on one signature and trip it.
+  QueryRequest spaced = UnsafeCountingRequest();
+  spaced.program_text =
+      "% same query\np(X,Y):-e(X,Y).\n"
+      "p(X, Y)  :-  l(X, X1),   p(X1, Y1), r(Y, Y1).\n  p(0,Y)?\n";
+  auto first = svc.Submit(UnsafeCountingRequest())->Get();
+  ASSERT_EQ(first.outcome, Outcome::kOk) << first.status.ToString();
+  auto second = svc.Submit(spaced)->Get();
+  ASSERT_EQ(second.outcome, Outcome::kOk) << second.status.ToString();
+  EXPECT_FALSE(second.breaker_short_circuit);
+  EXPECT_EQ(svc.stats().breaker_opens, 1u);
+
+  auto third = svc.Submit(spaced)->Get();
+  ASSERT_EQ(third.outcome, Outcome::kOk) << third.status.ToString();
+  EXPECT_TRUE(third.breaker_short_circuit);
+  ASSERT_EQ(third.report.attempts.size(), 1u);
+  EXPECT_EQ(third.report.attempts[0].method, "magic_sets");
+  svc.Shutdown(/*drain=*/true);
+}
+
+TEST_F(BreakerIntegrationTest, SafeRequestsNeverConsultTheBreaker) {
   ServiceOptions opts;
   opts.workers = 1;
   opts.breaker.strike_threshold = 1;
-  QueryService svc(&base, opts);
+  QueryService svc(StoreOf(workload::MakeFigure1Style()), opts);
 
   // Default planner options: no plain counting, no auto-select — the safe
   // MC method needs no breaker permission and records no probe.

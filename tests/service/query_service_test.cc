@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "datalog/parser.h"
+#include "core/planner.h"
 #include "service/query_service.h"
+#include "storage/edb_view.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 #include "workload/generators.h"
@@ -33,9 +35,20 @@ QueryRequest SimpleRequest() {
   return req;
 }
 
+/// A single-epoch in-memory store holding `db`'s relations.
+std::unique_ptr<VersionedStore> StoreOf(const Database& db) {
+  auto store = std::make_unique<VersionedStore>();
+  EXPECT_TRUE(store->Recover().ok());
+  EXPECT_TRUE(store->BootstrapFromDatabase(db).ok());
+  return store;
+}
+
 class QueryServiceTest : public ::testing::Test {
  protected:
-  void SetUp() override { workload::MakeFigure1Style().Load(&base_); }
+  void SetUp() override {
+    workload::MakeFigure1Style().Load(&base_);
+    store_ = StoreOf(base_);
+  }
   void TearDown() override { util::FaultInjection::Instance().DisarmAll(); }
 
   /// Occupy every worker: a sticky transient fault plus a huge retry budget
@@ -45,7 +58,18 @@ class QueryServiceTest : public ::testing::Test {
     return svc->Submit(SimpleRequest());
   }
 
+  /// Wait until the blocker is past the pickup-time cancellation check.
+  /// "service/execute" is reached only after that check (stats().in_flight
+  /// rises before it), so a Cancel() from here on finds the blocker
+  /// running, never still queued.
+  static void WaitUntilExecuting() {
+    while (util::FaultInjection::Instance().HitCount("service/execute") == 0) {
+      std::this_thread::yield();
+    }
+  }
+
   Database base_;
+  std::unique_ptr<VersionedStore> store_;
 };
 
 /// Options for a service whose single worker can be pinned indefinitely via
@@ -66,7 +90,7 @@ void ArmPinFault() {
 }
 
 TEST_F(QueryServiceTest, SimpleQueryAnswers) {
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   auto resp = svc.Submit(SimpleRequest())->Get();
   ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
   EXPECT_TRUE(resp.ran());
@@ -81,7 +105,7 @@ TEST_F(QueryServiceTest, SimpleQueryAnswers) {
 }
 
 TEST_F(QueryServiceTest, ParseErrorIsAFailedOutcomeNotACrash) {
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   QueryRequest req;
   req.program_text = "this is not datalog ((";
   auto resp = svc.Submit(std::move(req))->Get();
@@ -93,12 +117,12 @@ TEST_F(QueryServiceTest, ParseErrorIsAFailedOutcomeNotACrash) {
 
 TEST_F(QueryServiceTest, QueueFullShedsInBoundedTime) {
   ArmPinFault();
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
 
   auto pinned = PinWorker(&svc);
-  // Wait until the worker actually picked the blocker up, so the next two
+  // Wait until the worker is running the blocker, so the next two
   // submissions are *queued*, not running.
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
+  WaitUntilExecuting();
 
   auto q1 = svc.Submit(SimpleRequest());
   auto q2 = svc.Submit(SimpleRequest());
@@ -129,10 +153,10 @@ TEST_F(QueryServiceTest, PredictiveShedRejectsUnmeetableDeadlines) {
   ArmPinFault();
   ServiceOptions opts = PinnableOptions();
   opts.expected_run_seconds_hint = 10.0;  // EWMA says runs take ~10s
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
+  WaitUntilExecuting();
 
   // 50ms of budget against an estimated multi-second queue wait: the
   // request would be dead before a worker frees up, so it never queues.
@@ -161,10 +185,10 @@ TEST_F(QueryServiceTest, DeadlineDuringQueueWaitNeverRuns) {
   ArmPinFault();
   ServiceOptions opts = PinnableOptions();
   opts.shed_unmeetable_deadlines = false;  // force the queue-wait path
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
+  WaitUntilExecuting();
 
   QueryRequest req = SimpleRequest();
   req.timeout_ms = 30;
@@ -185,10 +209,10 @@ TEST_F(QueryServiceTest, DeadlineDuringQueueWaitNeverRuns) {
 
 TEST_F(QueryServiceTest, CancelWhileQueuedNeverRuns) {
   ArmPinFault();
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
 
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
+  WaitUntilExecuting();
 
   auto ticket = svc.Submit(SimpleRequest());
   ticket->Cancel();  // cross-thread cancel: admitted, not yet picked up
@@ -205,9 +229,9 @@ TEST_F(QueryServiceTest, CancelWhileQueuedNeverRuns) {
 
 TEST_F(QueryServiceTest, MidFlightCancellationFromAnotherThread) {
   ArmPinFault();  // the blocker spins in governed retries until cancelled
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
   auto ticket = svc.Submit(SimpleRequest());
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
+  WaitUntilExecuting();
 
   std::thread canceller([&] {
     std::this_thread::sleep_for(milliseconds(20));
@@ -227,7 +251,7 @@ TEST_F(QueryServiceTest, TransientFaultIsRetriedOnce) {
   opts.workers = 1;
   opts.max_retries = 2;
   opts.retry_backoff_ms = 1;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
@@ -245,7 +269,7 @@ TEST_F(QueryServiceTest, RetriesExhaustToFailed) {
   opts.workers = 1;
   opts.max_retries = 2;
   opts.retry_backoff_ms = 1;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kFailed);
@@ -260,7 +284,7 @@ TEST_F(QueryServiceTest, NonTransientFaultIsNotRetried) {
   ServiceOptions opts;
   opts.workers = 1;
   opts.max_retries = 5;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kFailed);
@@ -272,10 +296,11 @@ TEST_F(QueryServiceTest, MemoryBudgetBoundsDerivedGrowth) {
   Database big;
   workload::MakeSameGeneration(/*people=*/120, /*max_parents=*/3,
                                /*seed=*/7).Load(&big);
+  std::unique_ptr<VersionedStore> store = StoreOf(big);
   ServiceOptions opts;
   opts.workers = 1;
   opts.total_memory_bytes = 1;  // derived data may grow ~1 byte: must trip
-  QueryService svc(&big, opts);
+  QueryService svc(store.get(), opts);
 
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kFailed) << resp.status.ToString();
@@ -284,15 +309,55 @@ TEST_F(QueryServiceTest, MemoryBudgetBoundsDerivedGrowth) {
   svc.Shutdown(/*drain=*/true);
 }
 
+// The budget brackets one query's real derived growth D: the working
+// database's bytes after an unbudgeted solve, minus the pinned version's.
+// A service whose whole budget is 2*D answers; one with D/2 trips.
+TEST_F(QueryServiceTest, MemoryBudgetBracketsMeasuredDerivedGrowth) {
+  Database big;
+  workload::MakeSameGeneration(/*people=*/120, /*max_parents=*/3,
+                               /*seed=*/7).Load(&big);
+  std::unique_ptr<VersionedStore> store = StoreOf(big);
+
+  std::shared_ptr<const EdbVersion> pin = store->Pin();
+  Database work(&store->symbols());
+  ASSERT_TRUE(EdbView(*pin).AttachTo(&work).ok());
+  auto prog = dl::Parse(kCslSrc);
+  ASSERT_TRUE(prog.ok());
+  auto solved = core::SolveProgram(&work, *prog);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  ASSERT_GT(work.ApproxBytes(), pin->ApproxBytes());
+  uint64_t derived = work.ApproxBytes() - pin->ApproxBytes();
+
+  for (uint64_t budget : {2 * derived, derived / 2}) {
+    ServiceOptions opts;
+    opts.workers = 1;
+    opts.total_memory_bytes = budget;
+    QueryService svc(store.get(), opts);
+    auto resp = svc.Submit(SimpleRequest())->Get();
+    if (budget > derived) {
+      ASSERT_EQ(resp.outcome, Outcome::kOk)
+          << "budget " << budget << ": " << resp.status.ToString();
+      EXPECT_EQ(resp.report.results.size(), solved->results.size());
+    } else {
+      EXPECT_EQ(resp.outcome, Outcome::kFailed) << "budget " << budget;
+      EXPECT_NE(resp.status.message().find("memory budget"),
+                std::string::npos)
+          << resp.status.ToString();
+    }
+    svc.Shutdown(/*drain=*/true);
+  }
+}
+
 TEST_F(QueryServiceTest, PerRequestCapTighterThanShareWins) {
   Database big;
   workload::MakeSameGeneration(/*people=*/120, /*max_parents=*/3,
                                /*seed=*/7).Load(&big);
+  std::unique_ptr<VersionedStore> store = StoreOf(big);
   ServiceOptions opts;
   opts.workers = 1;
   // Service-level budget is generous; the request brings its own tiny cap.
   opts.total_memory_bytes = 1ull << 30;
-  QueryService svc(&big, opts);
+  QueryService svc(store.get(), opts);
 
   QueryRequest req = SimpleRequest();
   req.planner.run.max_memory_bytes = 1;
@@ -305,9 +370,9 @@ TEST_F(QueryServiceTest, PerRequestCapTighterThanShareWins) {
 
 TEST_F(QueryServiceTest, ShutdownWithoutDrainCancelsQueuedRequests) {
   ArmPinFault();
-  QueryService svc(&base_, PinnableOptions());
+  QueryService svc(store_.get(), PinnableOptions());
   auto pinned = PinWorker(&svc);
-  while (svc.stats().in_flight == 0) std::this_thread::yield();
+  WaitUntilExecuting();
   auto queued = svc.Submit(SimpleRequest());
 
   pinned->Cancel();
@@ -319,7 +384,7 @@ TEST_F(QueryServiceTest, ShutdownWithoutDrainCancelsQueuedRequests) {
 }
 
 TEST_F(QueryServiceTest, SubmitAfterShutdownIsShedNotCrashed) {
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   svc.Shutdown(/*drain=*/true);
   auto resp = svc.Submit(SimpleRequest())->Get();
   EXPECT_EQ(resp.outcome, Outcome::kRejectedOverload);
@@ -329,7 +394,7 @@ TEST_F(QueryServiceTest, SubmitAfterShutdownIsShedNotCrashed) {
 TEST_F(QueryServiceTest, PreParsedProgramSkipsTheParser) {
   auto prog = dl::Parse(kCslSrc);
   ASSERT_TRUE(prog.ok());
-  QueryService svc(&base_, {});
+  QueryService svc(store_.get(), {});
   QueryRequest req;
   req.program = *prog;  // no program_text at all
   auto resp = svc.Submit(std::move(req))->Get();
@@ -351,7 +416,7 @@ TEST_F(QueryServiceTest, StatsInvariantAcrossAMixedBatch) {
   ServiceOptions opts;
   opts.workers = 4;
   opts.queue_depth = 64;
-  QueryService svc(&base_, opts);
+  QueryService svc(store_.get(), opts);
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 20; ++i) {
     QueryRequest req;
@@ -371,51 +436,12 @@ TEST_F(QueryServiceTest, StatsInvariantAcrossAMixedBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-swap mode: the service backed by a VersionedStore
+// Versions: pinning, live commits, copy-on-write borrows
 
 QueryRequest MembershipRequest() {
   QueryRequest req;
   req.program_text = "q(X) :- d(X). q(X)?";
   return req;
-}
-
-TEST_F(QueryServiceTest, StoreBackedServiceMatchesFrozenDatabaseAnswers) {
-  VersionedStore store;
-  ASSERT_TRUE(store.Recover().ok());
-  ASSERT_TRUE(store.BootstrapFromDatabase(base_).ok());
-
-  QueryService frozen(&base_, {});
-  auto want = frozen.Submit(SimpleRequest())->Get();
-  ASSERT_EQ(want.outcome, Outcome::kOk) << want.status.ToString();
-  EXPECT_EQ(want.edb_epoch, 0u);  // frozen mode never reports an epoch
-
-  QueryService svc(&store, {});
-  auto resp = svc.Submit(SimpleRequest())->Get();
-  ASSERT_EQ(resp.outcome, Outcome::kOk) << resp.status.ToString();
-  EXPECT_EQ(resp.edb_epoch, 1u);  // the bootstrap batch
-  EXPECT_EQ(resp.report.results.size(), want.report.results.size());
-}
-
-TEST_F(QueryServiceTest, ZeroCopyBaseMatchesDeepCopyAnswers) {
-  VersionedStore store;
-  ASSERT_TRUE(store.Recover().ok());
-  ASSERT_TRUE(store.BootstrapFromDatabase(base_).ok());
-
-  ServiceOptions copy_opts;
-  copy_opts.zero_copy_base = false;
-  QueryService copying(&store, copy_opts);
-  auto want = copying.Submit(SimpleRequest())->Get();
-  ASSERT_EQ(want.outcome, Outcome::kOk) << want.status.ToString();
-
-  QueryService borrowing(&store, {});  // zero_copy_base defaults on
-  auto got = borrowing.Submit(SimpleRequest())->Get();
-  ASSERT_EQ(got.outcome, Outcome::kOk) << got.status.ToString();
-
-  EXPECT_EQ(got.edb_epoch, want.edb_epoch);
-  ASSERT_EQ(got.report.results.size(), want.report.results.size());
-  for (size_t i = 0; i < want.report.results.size(); ++i) {
-    EXPECT_EQ(got.report.results[i], want.report.results[i]);
-  }
 }
 
 TEST_F(QueryServiceTest, ZeroCopyProgramFactsOnEdbPredicatesStayPrivate) {
