@@ -41,7 +41,7 @@
 #include "core/solver.h"
 #include "datalog/parser.h"
 #include "eval/engine.h"
-#include "rewrite/csl.h"
+#include "rewrite/strongly_linear.h"
 #include "runtime/execution_context.h"
 
 using namespace mcm;
@@ -100,15 +100,18 @@ int RunBatch(const std::string& source) {
     PrintTuples(db, query.goal, *tuples);
   }
 
-  // Bonus: if this is a CSL query, demonstrate the magic counting methods.
-  auto csl = rewrite::RecognizeCsl(*prog);
-  if (csl.ok()) {
+  // Bonus: if the analyzer finds a canonical CSL query, demonstrate the
+  // magic counting methods (the evaluation above already materialized any
+  // derived L/E/R).
+  const rewrite::QueryShape shape = analysis::Analyze(*prog).shape;
+  if (shape.form == rewrite::QueryForm::kCanonical) {
+    const rewrite::CslQuery& csl = shape.csl;
     std::printf("\nprogram is canonical strongly linear (%s); running the "
                 "magic counting methods:\n",
-                csl->ToString().c_str());
+                csl.ToString().c_str());
     uint64_t baseline_reads = db.stats().tuples_read;
-    Value a = rewrite::ResolveSource(*csl, &db);
-    core::CslSolver solver(&db, csl->l, csl->e, csl->r, a);
+    Value a = rewrite::ResolveSource(csl, &db);
+    core::CslSolver solver(&db, csl.l, csl.e, csl.r, a);
     for (auto [variant, mode] :
          {std::pair{core::McVariant::kBasic, core::McMode::kIndependent},
           std::pair{core::McVariant::kMultiple, core::McMode::kIntegrated},

@@ -7,10 +7,11 @@
 //                         predicates, negation-through-recursion,
 //   3. binding analysis — adornment feasibility of the query's binding
 //                         pattern under the left-to-right SIPS,
-//   4. counting safety  — query-form classification (CSL and friends),
-//                         magic-graph skeleton from EDB statistics, and the
-//                         per-method safe/unsafe verdict table of
-//                         Theorems 1-2,
+//   4. counting safety  — query-shape recognition (canonical, composed or
+//                         reverse-bound strongly linear; recorded even when
+//                         the verdicts are off), magic-graph skeleton from
+//                         EDB statistics, and the per-method safe/unsafe
+//                         verdict table of Theorems 1-2,
 //   5. cost model       — the Propositions 4-7 formulas evaluated over the
 //                         magic-graph skeleton: a per-method cost table,
 //                         the Figure 3 dominance arcs, and a predicted-cost
@@ -27,31 +28,30 @@
 #include "analysis/safety.h"
 #include "datalog/ast.h"
 #include "datalog/diagnostic.h"
+#include "rewrite/strongly_linear.h"
 #include "storage/database.h"
 #include "util/status.h"
 
 namespace mcm::analysis {
 
-/// Which passes to run and what context they may use.
+/// What context the passes may use, and whether the verdict passes run.
 struct AnalyzeOptions {
   /// EDB statistics source for the dependency and safety passes. May be
   /// null: the passes then fall back to in-program facts and structural
   /// reasoning. Never mutated.
   const Database* db = nullptr;
 
-  bool validate = true;
-  bool dependencies = true;
-  bool bindings = true;
+  /// Run the counting-safety verdicts and the cost model (passes 4-5). The
+  /// query shape is recorded either way.
   bool counting_safety = true;
-  /// The cost pass consumes the safety pass's query-form classification,
-  /// so disabling counting_safety disables it too.
-  bool cost = true;
 };
 
 /// \brief Everything the analyzer learned about one program.
 struct AnalysisResult {
   dl::DiagnosticBag diagnostics;
   DependencyInfo deps;
+  /// The query's strongly linear shape; the planner routes from it.
+  rewrite::QueryShape shape;
   CountingSafetyReport safety;
   CostReport cost;
 
@@ -62,7 +62,7 @@ struct AnalysisResult {
   Status ToStatus() const { return diagnostics.ToStatus(); }
 };
 
-/// Run all enabled passes over `program`. Diagnostics come back sorted by
+/// Run the passes over `program`. Diagnostics come back sorted by
 /// source position.
 AnalysisResult Analyze(const dl::Program& program,
                        const AnalyzeOptions& options = {});

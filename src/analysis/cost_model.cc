@@ -171,9 +171,6 @@ CostReport AnalyzeCost(const dl::Program& program,
         "the L-part is a conjunction; its graph exists only after "
         "materialization");
   }
-  if (!safety.have_source_term) {
-    return give_up("the query's bound constant is not statically known");
-  }
 
   // One statistics source, mirroring the safety pass: a caller database
   // holding the L relation wins; otherwise in-program ground facts.

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "graph/query_graph.h"
-#include "rewrite/csl.h"
-#include "rewrite/strongly_linear.h"
 
 namespace mcm::analysis {
 
@@ -15,16 +13,6 @@ std::string_view VerdictToString(Verdict v) {
     case Verdict::kSafe: return "safe";
     case Verdict::kUnsafe: return "UNSAFE";
     case Verdict::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
-std::string_view QueryFormToString(QueryForm f) {
-  switch (f) {
-    case QueryForm::kNotStronglyLinear: return "not strongly linear";
-    case QueryForm::kCanonical: return "canonical strongly linear";
-    case QueryForm::kComposed: return "composed strongly linear";
-    case QueryForm::kReverseBound: return "reverse-bound strongly linear";
   }
   return "?";
 }
@@ -86,28 +74,6 @@ dl::Span RecursiveRuleSpan(const dl::Program& program,
     }
   }
   return dl::Span{};
-}
-
-/// Split into goal-predicate rules and support rules; mirrors the planner.
-/// Returns false when a support rule depends on the goal predicate (the
-/// program is then outside the strongly linear class).
-bool SplitByGoal(const dl::Program& program, const std::string& goal_pred,
-                 dl::Program* goal_part, dl::Program* support) {
-  for (const dl::Rule& r : program.rules) {
-    if (r.head.predicate == goal_pred) {
-      goal_part->rules.push_back(r);
-      continue;
-    }
-    for (const dl::Literal& lit : r.body) {
-      if (lit.kind == dl::Literal::Kind::kAtom &&
-          lit.atom.predicate == goal_pred) {
-        return false;
-      }
-    }
-    support->rules.push_back(r);
-  }
-  goal_part->queries = program.queries;
-  return true;
 }
 
 }  // namespace
@@ -205,79 +171,47 @@ void AddMcVerdicts(CountingSafetyReport* report) {
 }  // namespace
 
 CountingSafetyReport AnalyzeCountingSafety(const dl::Program& program,
+                                           const rewrite::QueryShape& shape,
                                            const Database* db,
                                            dl::DiagnosticBag* bag) {
   CountingSafetyReport report;
-  if (program.queries.size() != 1) return report;
-  const dl::Query& query = program.queries[0];
-
-  dl::Program goal_part, support;
-  if (!SplitByGoal(program, query.goal.predicate, &goal_part, &support)) {
-    return report;
-  }
-
-  // Recognize the query form, preferring the cheaper-to-run shapes, exactly
-  // like the planner's strategy order.
+  report.form = shape.form;
+  // Outside the paper's class: nothing to report.
+  if (shape.form == QueryForm::kNotStronglyLinear) return report;
+  report.source_term = shape.slq.source;
   std::string unknown_reason;
-  dl::Term source_constant;
-  bool have_source_term = false;
-  Result<rewrite::CslQuery> csl = rewrite::RecognizeCsl(goal_part);
-  if (csl.ok()) {
-    report.form = QueryForm::kCanonical;
-    report.signature = csl->ToString();
-    report.l_predicate = csl->l;
-    report.e_predicate = csl->e;
-    report.r_predicate = csl->r;
-    source_constant = csl->source;
-    have_source_term = true;
-  } else {
-    Result<rewrite::StronglyLinearQuery> slq =
-        rewrite::RecognizeStronglyLinear(goal_part);
-    if (slq.ok()) {
-      report.form = QueryForm::kComposed;
-      report.signature = slq->ToString();
-      source_constant = slq->source;
-      have_source_term = true;
-      if (slq->prefix_is_atom) {
-        report.l_predicate = slq->prefix[0].atom.predicate;
-      } else {
-        unknown_reason =
-            "the L-part is a conjunction; its graph exists only after "
-            "materialization";
-      }
-      if (slq->exit_is_atom) {
-        report.e_predicate = slq->exit_body[0].atom.predicate;
-      }
-      if (slq->suffix_is_atom) {
-        report.r_predicate = slq->suffix[0].atom.predicate;
-      }
+  if (shape.form == QueryForm::kComposed) {
+    const rewrite::StronglyLinearQuery& slq = shape.slq;
+    report.signature = slq.ToString();
+    if (slq.prefix_is_atom) {
+      report.l_predicate = slq.prefix[0].atom.predicate;
     } else {
-      Result<rewrite::ReverseCsl> rev =
-          rewrite::RecognizeReverseCsl(goal_part, "mcm_eswap");
-      if (rev.ok()) {
-        report.form = QueryForm::kReverseBound;
-        report.signature = rev->csl.ToString();
-        // The mirrored query's magic graph is the graph of the original R.
-        report.l_predicate = rev->csl.l;
-        // The mirrored E ("mcm_eswap") only exists after materialization,
-        // so leave e_predicate empty; the mirrored R is the original L.
-        report.r_predicate = rev->csl.r;
-        source_constant = rev->csl.source;
-        have_source_term = true;
-      } else {
-        return report;  // outside the paper's class: nothing to report
-      }
+      unknown_reason =
+          "the L-part is a conjunction; its graph exists only after "
+          "materialization";
     }
+    if (slq.exit_is_atom) {
+      report.e_predicate = slq.exit_body[0].atom.predicate;
+    }
+    if (slq.suffix_is_atom) {
+      report.r_predicate = slq.suffix[0].atom.predicate;
+    }
+  } else {
+    // A reverse-bound query's magic graph is the graph of the original R
+    // (the mirrored L); its mirrored E only exists after materialization,
+    // so e_predicate stays empty.
+    report.signature = shape.csl.ToString();
+    report.l_predicate = shape.csl.l;
+    if (shape.form == QueryForm::kCanonical) {
+      report.e_predicate = shape.csl.e;
+    }
+    report.r_predicate = shape.csl.r;
   }
 
-  report.source_term = source_constant;
-  report.have_source_term = have_source_term;
-
+  const dl::Query& query = program.queries[0];
   bag->Add(DiagCode::kQueryClassCsl, query.span(),
            "query is " + std::string(QueryFormToString(report.form)) + ": " +
                report.signature);
-  const dl::Term* source_term =
-      have_source_term ? &source_constant : nullptr;
 
   // Pick the EDB statistics source: a caller-supplied database that already
   // holds the L relation wins; otherwise in-program ground facts are
@@ -304,8 +238,8 @@ CountingSafetyReport AnalyzeCountingSafety(const dl::Program& program,
 
   Value source = 0;
   bool have_source = false;
-  if (l_rel != nullptr && l_rel->arity() == 2 && source_term != nullptr) {
-    have_source = ResolveGroundTerm(*source_term, *symbols, &source);
+  if (l_rel != nullptr && l_rel->arity() == 2) {
+    have_source = ResolveGroundTerm(report.source_term, *symbols, &source);
     if (!have_source) {
       // The query constant never occurs in the data: the magic graph is the
       // isolated source node — trivially regular, every method safe.

@@ -1,11 +1,11 @@
 // Pass 4: static counting-safety analysis (Theorems 1-2, before any
 // fixpoint runs).
 //
-// Classifies the program's query form (canonical / derived strongly linear /
-// reverse-bound), builds the magic-graph skeleton from the program's ground
-// facts plus any supplied EDB relations, classifies its nodes
-// (single / multiple / recurring, Proposition 1), and renders a per-method
-// verdict table:
+// Reports the query form rewrite::RecognizeQueryShape decided (canonical /
+// composed strongly linear / reverse-bound), builds the magic-graph skeleton
+// from the program's ground facts plus any supplied EDB relations,
+// classifies its nodes (single / multiple / recurring, Proposition 1), and
+// renders a per-method verdict table:
 //   * pure counting is unsafe exactly when the magic graph is cyclic — a
 //     recurring node has an infinite index set I_b, so condition (b) of
 //     Theorem 1 cannot hold for a counting set containing it;
@@ -24,6 +24,7 @@
 #include "datalog/ast.h"
 #include "datalog/diagnostic.h"
 #include "graph/classify.h"
+#include "rewrite/strongly_linear.h"
 #include "storage/database.h"
 
 namespace mcm::analysis {
@@ -43,15 +44,10 @@ struct MethodVerdict {
   std::string reason;
 };
 
-/// How the safety pass classified the query's recursive part.
-enum class QueryForm : uint8_t {
-  kNotStronglyLinear,  ///< outside the paper's class; no verdicts
-  kCanonical,          ///< literal L/E/R shape
-  kComposed,           ///< derived/conjunctive L,E,R (strongly linear)
-  kReverseBound,       ///< P(X, b)? evaluated via the mirrored signature
-};
-
-std::string_view QueryFormToString(QueryForm f);
+/// How the query's recursive part matches the paper's class (decided once,
+/// by rewrite::RecognizeQueryShape).
+using rewrite::QueryForm;
+using rewrite::QueryFormToString;
 
 /// \brief Result of the static counting-safety analysis.
 struct CountingSafetyReport {
@@ -64,9 +60,8 @@ struct CountingSafetyReport {
   std::string e_predicate;
   std::string r_predicate;
   /// The query's bound constant (feeds the cost pass); meaningful only when
-  /// `have_source_term` is set.
+  /// the query is strongly linear.
   dl::Term source_term;
-  bool have_source_term = false;
 
   /// True when EDB statistics were available and the magic graph was built.
   bool analyzed = false;
@@ -89,12 +84,14 @@ struct CountingSafetyReport {
   std::string ToString() const;
 };
 
-/// Analyze the query of `program` (the paper's single-query form). `db`
-/// supplies EDB statistics and may be null; in-program ground facts are
-/// always considered (materialized into a scratch database when `db` lacks
-/// the L relation). Appends W401 when pure counting is statically unsafe
-/// and N501/N502 notes describing what was (or could not be) decided.
+/// Analyze the query of `program` (the paper's single-query form), whose
+/// recognized shape is `shape`. `db` supplies EDB statistics and may be
+/// null; in-program ground facts are always considered (materialized into
+/// a scratch database when `db` lacks the L relation). Appends W401 when
+/// pure counting is statically unsafe and N501/N502 notes describing what
+/// was (or could not be) decided.
 CountingSafetyReport AnalyzeCountingSafety(const dl::Program& program,
+                                           const rewrite::QueryShape& shape,
                                            const Database* db,
                                            dl::DiagnosticBag* bag);
 

@@ -7,7 +7,6 @@
 #include "core/solver.h"
 #include "datalog/validate.h"
 #include "eval/engine.h"
-#include "rewrite/csl.h"
 #include "rewrite/magic.h"
 #include "rewrite/strongly_linear.h"
 #include "util/fault_injection.h"
@@ -171,51 +170,15 @@ double PredictedFor(const analysis::CostReport& cost, Rung rung) {
   return e != nullptr && e->finite ? e->predicted : -1.0;
 }
 
-/// Split the program into the goal predicate's own rules and the support
-/// rules (which must not depend on the goal predicate). The goal rules can
-/// then be matched against the CSL / strongly-linear shapes while the
-/// support rules materialize any derived L/E/R predicates.
-struct GoalSplit {
-  dl::Program goal_part;  ///< rules for the goal predicate, plus the query
-  dl::Program support;    ///< everything else (may be empty)
-};
-
-Result<GoalSplit> SplitByGoal(const dl::Program& program) {
-  const std::string& p = program.queries[0].goal.predicate;
-  GoalSplit split;
-  for (const dl::Rule& r : program.rules) {
-    if (r.head.predicate == p) {
-      split.goal_part.rules.push_back(r);
-    } else {
-      // Support rules must not depend on the recursive predicate.
-      for (const dl::Literal& lit : r.body) {
-        if (lit.kind == dl::Literal::Kind::kAtom &&
-            lit.atom.predicate == p) {
-          return Status::Unsupported(
-              "predicate '" + r.head.predicate +
-              "' depends on the recursive query predicate");
-        }
-      }
-      split.support.rules.push_back(r);
-    }
-  }
-  split.goal_part.queries = program.queries;
-  return split;
-}
-
 /// Where a query is answered. SolveProgram executes it and ExplainProgram
 /// reports it, so the two cannot disagree.
 struct Route {
   enum class Path : uint8_t { kStronglyLinear, kMagicRewrite, kBottomUp };
   Path path = Path::kBottomUp;
 
-  // kStronglyLinear: the recognized shape (exactly one of csl / slq / rev
-  // is ok) and the rungs to walk, in order.
-  GoalSplit split;
-  Result<rewrite::CslQuery> csl = Status::Unsupported("no CSL shape");
-  Result<rewrite::StronglyLinearQuery> slq =
-      Status::Unsupported("no strongly linear shape");
-  Result<rewrite::ReverseCsl> rev = Status::Unsupported("no reverse shape");
+  // kStronglyLinear: the analyzer's shape of the query and the rungs to
+  // walk, in order.
+  const rewrite::QueryShape* shape = nullptr;
   std::vector<Rung> rungs;
   std::string note;  ///< why the counting rung was refused, if it was
   bool ranked = false;
@@ -224,46 +187,26 @@ struct Route {
   Result<rewrite::MagicProgram> magic = Status::Unsupported("no rewrite");
 };
 
-/// Match the goal rules against the canonical, composed and mirrored
-/// strongly linear shapes, and check that every relation the CSL solver
-/// will read exists once the support strata (and, for composed parts, the
-/// compositions) are materialized.
-bool RecognizeStronglyLinear(const Database& db, Route* route) {
-  const dl::Program& goal = route->split.goal_part;
-  route->csl = rewrite::RecognizeCsl(goal);
-  if (!route->csl.ok()) route->slq = rewrite::RecognizeStronglyLinear(goal);
-  if (!route->csl.ok() && !route->slq.ok()) {
-    route->rev = rewrite::RecognizeReverseCsl(goal, "mcm_eswap");
-  }
-
+/// Whether every relation the CSL solver will read exists once the support
+/// strata (and, for composed parts, the compositions) are materialized. A
+/// reverse-bound shape's forward query names the same three relations.
+bool RelationsAvailable(const Database& db, const rewrite::QueryShape& shape) {
   std::unordered_set<std::string> derived;
-  for (const auto& [pred, arity] : route->split.support.PredicateArities()) {
+  for (const auto& [pred, arity] : shape.support.PredicateArities()) {
     derived.insert(pred);
   }
-  auto available = [&db, &derived](const std::string& pred) {
-    return db.Find(pred) != nullptr || derived.count(pred) > 0;
-  };
   // A composed part is materialized under its own name; a single atom is
   // read in place.
-  auto part_available = [&available](bool is_atom,
-                                      const std::vector<dl::Literal>& part) {
-    return !is_atom || available(part[0].atom.predicate);
+  auto available = [&db, &derived](bool is_atom,
+                                   const std::vector<dl::Literal>& part) {
+    if (!is_atom) return true;
+    const std::string& pred = part[0].atom.predicate;
+    return db.Find(pred) != nullptr || derived.count(pred) > 0;
   };
-  if (route->csl.ok()) {
-    return available(route->csl->l) && available(route->csl->e) &&
-           available(route->csl->r);
-  }
-  if (route->slq.ok()) {
-    const rewrite::StronglyLinearQuery& q = *route->slq;
-    return part_available(q.prefix_is_atom, q.prefix) &&
-           part_available(q.exit_is_atom, q.exit_body) &&
-           part_available(q.suffix_is_atom, q.suffix);
-  }
-  if (route->rev.ok()) {
-    return available(route->rev->original_e) &&
-           available(route->rev->csl.l) && available(route->rev->csl.r);
-  }
-  return false;
+  const rewrite::StronglyLinearQuery& q = shape.slq;
+  return available(q.prefix_is_atom, q.prefix) &&
+         available(q.exit_is_atom, q.exit_body) &&
+         available(q.suffix_is_atom, q.suffix);
 }
 
 /// The strongly linear ladder: the listed (or cost-ranked) counting,
@@ -329,17 +272,14 @@ Result<Route> PlanRoute(const Database& db, const dl::Program& program,
       options.counting != CountingPolicy::kNever ||
       std::any_of(options.ladder.begin(), options.ladder.end(),
                   [](const Rung& r) { return r.counting_based(); });
-  if (counting_family) {
-    Result<GoalSplit> split = SplitByGoal(program);
-    if (split.ok()) {
-      route.split = std::move(*split);
-      if (RecognizeStronglyLinear(db, &route)) {
-        BuildLadder(options, analysis, &route);
-        if (!route.rungs.empty()) {
-          route.path = Route::Path::kStronglyLinear;
-          return route;
-        }
-      }
+  if (counting_family &&
+      analysis.shape.form != rewrite::QueryForm::kNotStronglyLinear &&
+      RelationsAvailable(db, analysis.shape)) {
+    BuildLadder(options, analysis, &route);
+    if (!route.rungs.empty()) {
+      route.shape = &analysis.shape;
+      route.path = Route::Path::kStronglyLinear;
+      return route;
     }
   }
 
@@ -462,27 +402,25 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
   };
 
   if (route.path == Route::Path::kStronglyLinear) {
+    const rewrite::QueryShape& shape = *route.shape;
     // Materialize derived support predicates first.
-    if (!route.split.support.rules.empty()) {
+    if (!shape.support.rules.empty()) {
       eval::EvalOptions eopts = governed_eopts();
       eopts.assume_validated = true;
       eval::Engine engine(db, eopts);
-      MCM_RETURN_NOT_OK(engine.Run(route.split.support));
+      MCM_RETURN_NOT_OK(engine.Run(shape.support));
     }
     std::string how;
-    rewrite::CslQuery csl;
-    if (route.csl.ok()) {
-      csl = *route.csl;
-    } else if (route.slq.ok()) {
+    rewrite::CslQuery csl = shape.csl;
+    if (shape.form == rewrite::QueryForm::kComposed) {
       MCM_ASSIGN_OR_RETURN(csl,
-                           rewrite::MaterializeStronglyLinear(db, *route.slq));
-      how = " via composed L/E/R (" + route.slq->ToString() + ")";
-    } else {
+                           rewrite::MaterializeStronglyLinear(db, shape.slq));
+      how = " via composed L/E/R (" + shape.slq.ToString() + ")";
+    } else if (shape.form == rewrite::QueryForm::kReverseBound) {
       // Reverse-bound query P(X, b): run the mirrored forward query over
       // (L'=R, E'=E swapped, R'=L).
-      MCM_RETURN_NOT_OK(rewrite::MaterializeSwappedE(
-          db, route.rev->original_e, "mcm_eswap"));
-      csl = route.rev->csl;
+      MCM_RETURN_NOT_OK(rewrite::MaterializeSwappedE(db, shape.original_e,
+                                                     rewrite::kSwappedE));
       how = " via reverse binding (mirrored query)";
     }
     Value a = rewrite::ResolveSource(csl, db);
@@ -519,8 +457,7 @@ Result<PlanReport> SolveProgram(Database* db, const dl::Program& program,
         report.description =
             TierDescription(rung, counting_verdict) + " over " +
             csl.ToString() + how +
-            (route.split.support.rules.empty() ? ""
-                                               : " with materialized support") +
+            (shape.support.rules.empty() ? "" : " with materialized support") +
             route.note +
             (route.ranked ? "; method order auto-selected by predicted cost"
                           : "");

@@ -6,13 +6,16 @@
 // LadderOrder. One routing function, shared by SolveProgram and
 // ExplainProgram, turns them into a plan after the static analyzer has run
 // (its errors abort planning; its verdicts and cost ranking feed the ladder):
-//  1. Strongly linear path: when the goal is a canonical strongly linear
-//     (CSL) query — L, E, R may be *derived* in lower strata (the paper's
-//     Section 1 generalization) or conjunctions (composed), or the binding
-//     may sit on the second argument (mirrored) — and the request asks for
-//     the counting family (a counting or magic-counting rung, or a counting
-//     policy other than kNever), the support strata are materialized and the
-//     ladder's counting, magic-counting and magic-sets rungs run in order.
+//  1. Strongly linear path: when the analyzer's query shape
+//     (AnalysisResult::shape) is strongly linear — canonical, with L, E, R
+//     possibly *derived* in lower strata (the paper's Section 1
+//     generalization), composed of conjunctions, or canonical with the
+//     binding on the second argument (mirrored) — its relations exist, and
+//     the request asks for the counting family (a counting or
+//     magic-counting rung, or a counting policy other than kNever), the
+//     support strata are materialized and the ladder's counting,
+//     magic-counting and magic-sets rungs run in order. The planner never
+//     recognizes the shape itself.
 //  2. Otherwise, if the goal has a bound argument and the list holds a rung
 //     other than bottom-up, the generalized magic-set rewriting runs; a
 //     failure degrades to bottom-up when the list holds that rung.

@@ -2,180 +2,14 @@
 
 namespace mcm::rewrite {
 
-namespace {
-
-bool IsVar(const dl::Term& t, const std::string& name) {
-  return t.IsVariable() && t.name == name;
-}
-
-}  // namespace
-
 std::string CslQuery::ToString() const {
   return "CSL{P=" + p + " E=" + e + " L=" + l + " R=" + r +
          " a=" + source.ToString() + "}";
 }
 
-Result<CslQuery> RecognizeCsl(const dl::Program& program) {
-  if (program.queries.size() != 1) {
-    return Status::Unsupported("CSL recognition requires exactly one query");
-  }
-  const dl::Query& query = program.queries[0];
-  if (query.goal.arity() != 2 || !query.goal.args[0].IsConstant() ||
-      !query.goal.args[1].IsVariable()) {
-    return Status::Unsupported(
-        "CSL query goal must be P(a, Y) with constant a and variable Y");
-  }
-  const std::string& p = query.goal.predicate;
-
-  const dl::Rule* exit_rule = nullptr;
-  const dl::Rule* rec_rule = nullptr;
-  for (const dl::Rule& rule : program.rules) {
-    if (rule.head.predicate != p) {
-      return Status::Unsupported("CSL program may only define '" + p +
-                                 "', found rule for '" + rule.head.predicate +
-                                 "'");
-    }
-    bool recursive = false;
-    for (const dl::Literal& lit : rule.body) {
-      if (lit.kind == dl::Literal::Kind::kAtom && lit.atom.predicate == p) {
-        recursive = true;
-      }
-    }
-    if (recursive) {
-      if (rec_rule != nullptr) {
-        return Status::Unsupported("CSL program must have one recursive rule");
-      }
-      rec_rule = &rule;
-    } else {
-      if (exit_rule != nullptr) {
-        return Status::Unsupported("CSL program must have one exit rule");
-      }
-      exit_rule = &rule;
-    }
-  }
-  if (exit_rule == nullptr || rec_rule == nullptr) {
-    return Status::Unsupported(
-        "CSL program needs exactly one exit and one recursive rule");
-  }
-
-  CslQuery out;
-  out.p = p;
-  out.source = query.goal.args[0];
-  out.answer_var = query.goal.args[1].name;
-
-  // Exit rule: P(X, Y) :- E(X, Y).
-  {
-    const dl::Rule& r = *exit_rule;
-    if (r.head.arity() != 2 || r.body.size() != 1 ||
-        !r.body[0].IsPositiveAtom() || r.body[0].atom.arity() != 2) {
-      return Status::Unsupported("CSL exit rule must be P(X,Y) :- E(X,Y): " +
-                                 r.ToString());
-    }
-    const dl::Term& hx = r.head.args[0];
-    const dl::Term& hy = r.head.args[1];
-    const dl::Atom& e = r.body[0].atom;
-    if (!hx.IsVariable() || !hy.IsVariable() || hx.name == hy.name ||
-        !IsVar(e.args[0], hx.name) || !IsVar(e.args[1], hy.name)) {
-      return Status::Unsupported("CSL exit rule must be P(X,Y) :- E(X,Y): " +
-                                 r.ToString());
-    }
-    out.e = e.predicate;
-  }
-
-  // Recursive rule: P(X, Y) :- L(X, X1), P(X1, Y1), R(Y, Y1).
-  {
-    const dl::Rule& r = *rec_rule;
-    if (r.head.arity() != 2 || r.body.size() != 3) {
-      return Status::Unsupported(
-          "CSL recursive rule must be P(X,Y) :- L(X,X1), P(X1,Y1), R(Y,Y1): " +
-          r.ToString());
-    }
-    const dl::Term& hx = r.head.args[0];
-    const dl::Term& hy = r.head.args[1];
-    if (!hx.IsVariable() || !hy.IsVariable() || hx.name == hy.name) {
-      return Status::Unsupported("CSL recursive rule head must be P(X,Y)");
-    }
-    // Identify the three body atoms in any order.
-    const dl::Atom* l_atom = nullptr;
-    const dl::Atom* p_atom = nullptr;
-    const dl::Atom* r_atom = nullptr;
-    size_t p_occurrences = 0;
-    for (const dl::Literal& lit : r.body) {
-      if (!lit.IsPositiveAtom() || lit.atom.arity() != 2) {
-        return Status::Unsupported(
-            "CSL recursive rule body must be three positive binary atoms: " +
-            r.ToString());
-      }
-      if (lit.atom.predicate == out.p) {
-        p_atom = &lit.atom;
-        ++p_occurrences;
-      }
-    }
-    if (p_atom == nullptr) {
-      return Status::Unsupported("CSL recursive rule lacks recursive atom");
-    }
-    if (p_occurrences != 1) {
-      return Status::Unsupported(
-          "CSL recursive rule must be linear (one recursive atom): " +
-          r.ToString());
-    }
-    if (!p_atom->args[0].IsVariable() || !p_atom->args[1].IsVariable()) {
-      return Status::Unsupported("recursive atom must be P(X1, Y1)");
-    }
-    const std::string x1 = p_atom->args[0].name;
-    const std::string y1 = p_atom->args[1].name;
-    for (const dl::Literal& lit : r.body) {
-      const dl::Atom& atom = lit.atom;
-      if (&atom == p_atom) continue;
-      if (IsVar(atom.args[0], hx.name) && IsVar(atom.args[1], x1)) {
-        l_atom = &atom;  // L(X, X1)
-      } else if (IsVar(atom.args[0], hy.name) && IsVar(atom.args[1], y1)) {
-        r_atom = &atom;  // R(Y, Y1)
-      }
-    }
-    if (l_atom == nullptr || r_atom == nullptr) {
-      return Status::Unsupported(
-          "CSL recursive rule must be P(X,Y) :- L(X,X1), P(X1,Y1), R(Y,Y1): " +
-          r.ToString());
-    }
-    out.l = l_atom->predicate;
-    out.r = r_atom->predicate;
-  }
-
-  return out;
-}
-
 Value ResolveSource(const CslQuery& q, Database* db) {
   if (q.source.kind == dl::Term::Kind::kInt) return q.source.value;
   return db->symbols().Intern(q.source.name);
-}
-
-Result<ReverseCsl> RecognizeReverseCsl(const dl::Program& program,
-                                       const std::string& swapped_e_name) {
-  if (program.queries.size() != 1) {
-    return Status::Unsupported("reverse CSL requires exactly one query");
-  }
-  const dl::Query& query = program.queries[0];
-  if (query.goal.arity() != 2 || !query.goal.args[0].IsVariable() ||
-      !query.goal.args[1].IsConstant()) {
-    return Status::Unsupported(
-        "reverse CSL query goal must be P(X, b) with free X and constant b");
-  }
-  // Recognize the forward form by mirroring the query goal, then mirror
-  // the recognized signature.
-  dl::Program forward = program;
-  forward.queries[0].goal.args = {query.goal.args[1], query.goal.args[0]};
-  MCM_ASSIGN_OR_RETURN(CslQuery fwd, RecognizeCsl(forward));
-
-  ReverseCsl out;
-  out.original_e = fwd.e;
-  out.csl.p = fwd.p;
-  out.csl.l = fwd.r;  // the R relation propagates the binding now
-  out.csl.r = fwd.l;
-  out.csl.e = swapped_e_name;
-  out.csl.source = query.goal.args[1];
-  out.csl.answer_var = query.goal.args[0].name;
-  return out;
 }
 
 Status MaterializeSwappedE(Database* db, const std::string& e_name,

@@ -1,13 +1,16 @@
-// Recognition of canonical strongly linear (CSL) queries.
+// The canonical strongly linear (CSL) query signature.
 //
 // The paper's methods are defined for the query class
 //     query:  P(a, Y)?
 //     exit:   P(X, Y) :- E(X, Y).
 //     rec:    P(X, Y) :- L(X, X1), P(X1, Y1), R(Y, Y1).
 // where E, L, R are database predicates ([SZ1] calls these canonical
-// strongly linear). RecognizeCsl() extracts the (P, E, L, R, a) signature
-// from a parsed program, accepting any consistent variable naming.
+// strongly linear) and X1, Y1 are fresh variables. CslQuery is the
+// (P, E, L, R, a) signature the methods run over; RecognizeQueryShape()
+// (rewrite/strongly_linear.h) extracts it from a parsed program.
 #pragma once
+
+#include <string>
 
 #include "datalog/ast.h"
 #include "storage/database.h"
@@ -27,27 +30,6 @@ struct CslQuery {
 
   std::string ToString() const;
 };
-
-/// Recognize the CSL form in `program` (which must contain exactly the exit
-/// rule, the recursive rule and one query with a bound first argument and a
-/// free second argument). Returns Unsupported for anything else.
-[[nodiscard]] Result<CslQuery> RecognizeCsl(const dl::Program& program);
-
-/// A recognized reverse-bound CSL query (see RecognizeReverseCsl).
-struct ReverseCsl {
-  CslQuery csl;           ///< mirrored forward query (l = R, r = L,
-                          ///< e = `swapped_e_name`)
-  std::string original_e; ///< the E relation to swap into `swapped_e_name`
-};
-
-/// Recognize the *reverse-bound* CSL form: the same rule pair but queried
-/// as P(X, b)? (binding enters through the second argument). The query is
-/// equivalent to the forward-bound query over the mirrored signature
-///   P~(Y, X) :- E~(Y, X).   P~(Y, X) :- R(Y, Y1), P~(Y1, X1), L(X, X1).
-/// i.e. L' = R, R' = L, E' = E with swapped columns; the caller
-/// materializes the swap with MaterializeSwappedE before running.
-[[nodiscard]] Result<ReverseCsl> RecognizeReverseCsl(
-    const dl::Program& program, const std::string& swapped_e_name);
 
 /// Create (or refresh) `swapped_name` in `db` as the column-swap of binary
 /// relation `e_name`.

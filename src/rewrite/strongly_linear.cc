@@ -2,7 +2,7 @@
 
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "eval/engine.h"
 
@@ -36,7 +36,55 @@ bool IsCanonicalAtom(const std::vector<dl::Literal>& lits,
          atom.args[1].name == second_var;
 }
 
+bool IsCanonical(const StronglyLinearQuery& q) {
+  return q.prefix_is_atom && q.suffix_is_atom && q.exit_is_atom;
+}
+
+/// The signature of a canonical query: its three atoms' relations.
+CslQuery CanonicalSignature(const StronglyLinearQuery& q) {
+  CslQuery csl;
+  csl.p = q.p;
+  csl.e = q.exit_body[0].atom.predicate;
+  csl.l = q.prefix[0].atom.predicate;
+  csl.r = q.suffix[0].atom.predicate;
+  csl.source = q.source;
+  csl.answer_var = q.answer_var;
+  return csl;
+}
+
+/// Split into the goal predicate's rules (plus the query) and the support
+/// rules. Returns false when a support rule depends on the goal predicate:
+/// the program is then outside the strongly linear class.
+bool SplitByGoal(const dl::Program& program, dl::Program* goal_part,
+                 dl::Program* support) {
+  const std::string& p = program.queries[0].goal.predicate;
+  for (const dl::Rule& r : program.rules) {
+    if (r.head.predicate == p) {
+      goal_part->rules.push_back(r);
+      continue;
+    }
+    for (const dl::Literal& lit : r.body) {
+      if (lit.kind == dl::Literal::Kind::kAtom && lit.atom.predicate == p) {
+        return false;
+      }
+    }
+    support->rules.push_back(r);
+  }
+  goal_part->queries = program.queries;
+  return true;
+}
+
 }  // namespace
+
+std::string_view QueryFormToString(QueryForm f) {
+  switch (f) {
+    case QueryForm::kNotStronglyLinear: return "not strongly linear";
+    case QueryForm::kCanonical: return "canonical strongly linear";
+    case QueryForm::kComposed: return "composed strongly linear";
+    case QueryForm::kReverseBound: return "reverse-bound strongly linear";
+  }
+  return "?";
+}
 
 std::string StronglyLinearQuery::ToString() const {
   return "SL{P=" + p + " |prefix|=" + std::to_string(prefix.size()) +
@@ -193,6 +241,45 @@ Result<StronglyLinearQuery> RecognizeStronglyLinear(
   out.suffix_is_atom = IsCanonicalAtom(out.suffix, out.y, out.yr);
   out.exit_is_atom = IsCanonicalAtom(out.exit_body, out.exit_x, out.exit_y);
   return out;
+}
+
+QueryShape RecognizeQueryShape(const dl::Program& program) {
+  QueryShape shape;
+  dl::Program goal_part;
+  if (program.queries.size() != 1 ||
+      !SplitByGoal(program, &goal_part, &shape.support)) {
+    return QueryShape{};
+  }
+  Result<StronglyLinearQuery> slq = RecognizeStronglyLinear(goal_part);
+  if (slq.ok()) {
+    shape.slq = std::move(*slq);
+    if (IsCanonical(shape.slq)) {
+      shape.form = QueryForm::kCanonical;
+      shape.csl = CanonicalSignature(shape.slq);
+    } else {
+      shape.form = QueryForm::kComposed;
+    }
+    return shape;
+  }
+
+  // Reverse-bound P(X, b)?: the forward query P(b, X)? over the mirrored
+  // signature P~(Y, X) :- R(Y, Y1), P~(Y1, X1), L(X, X1), so L and R swap
+  // roles and E's columns flip. Only the canonical rules are mirrored.
+  std::vector<dl::Term>& args = goal_part.queries[0].goal.args;
+  if (args.size() != 2 || !args[0].IsVariable() || !args[1].IsConstant()) {
+    return QueryShape{};
+  }
+  std::swap(args[0], args[1]);
+  slq = RecognizeStronglyLinear(goal_part);
+  if (!slq.ok() || !IsCanonical(*slq)) return QueryShape{};
+  CslQuery forward = CanonicalSignature(*slq);
+  shape.form = QueryForm::kReverseBound;
+  shape.slq = std::move(*slq);
+  shape.original_e = forward.e;
+  shape.csl = std::move(forward);
+  std::swap(shape.csl.l, shape.csl.r);
+  shape.csl.e = kSwappedE;
+  return shape;
 }
 
 Result<CslQuery> MaterializeStronglyLinear(Database* db,

@@ -18,10 +18,16 @@
 //   e*(X, Y)   :- <exit body>.
 //   r*(Y, Yr)  :- <suffix>.
 // which MaterializeStronglyLinear() evaluates into relations so the magic
-// counting machinery applies unchanged.
+// counting machinery applies unchanged. The canonical CSL form is the case
+// where all three parts are single atoms in canonical argument order.
+//
+// RecognizeQueryShape() is the one place that decides a program's shape:
+// the analyzer records its result and the planner routes from it.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -60,6 +66,44 @@ struct StronglyLinearQuery {
 /// queries are a special case and always recognized.
 [[nodiscard]] Result<StronglyLinearQuery> RecognizeStronglyLinear(
     const dl::Program& program);
+
+/// How a query's recursive part matches the paper's class.
+enum class QueryForm : uint8_t {
+  kNotStronglyLinear,  ///< outside the paper's class
+  kCanonical,          ///< literal L/E/R atoms
+  kComposed,           ///< derived/conjunctive L,E,R (strongly linear)
+  kReverseBound,       ///< P(X, b)? evaluated via the mirrored signature
+};
+
+std::string_view QueryFormToString(QueryForm f);
+
+/// The column-swapped E a reverse-bound query runs over.
+inline constexpr const char* kSwappedE = "mcm_eswap";
+
+/// \brief The strongly linear shape of a program's single query.
+struct QueryShape {
+  QueryForm form = QueryForm::kNotStronglyLinear;
+  /// The rules for predicates other than the goal's; they materialize
+  /// derived L/E/R relations before the methods run (may be empty).
+  dl::Program support;
+  /// The recognized goal rules. For kReverseBound this is the mirrored
+  /// query P(b, X)? over the same rules, always canonical.
+  StronglyLinearQuery slq;
+  /// kCanonical: the atoms' signature. kReverseBound: the mirrored forward
+  /// signature (L' = R, R' = L, E' = kSwappedE, the column swap of
+  /// `original_e`). Unset for the other forms.
+  CslQuery csl;
+  std::string original_e;  ///< kReverseBound only: the E relation to swap
+};
+
+/// Split `program` by its query's goal predicate into the goal rules and
+/// the support rules, and classify the goal rules: strongly linear with a
+/// bound first argument (kCanonical when prefix, suffix and exit body are
+/// all single atoms, kComposed otherwise), or canonical with the binding on
+/// the second argument (kReverseBound). Anything else — several queries, a
+/// support rule that depends on the goal predicate, a degenerate variable
+/// pattern — is kNotStronglyLinear.
+QueryShape RecognizeQueryShape(const dl::Program& program);
 
 /// Names used for materialized composition relations.
 struct SlNames {

@@ -384,10 +384,11 @@ void QueryService::Execute(Pending* p, int worker_id, QueryResponse* resp) {
   (void)worker_id;
   Timer run_timer;
 
-  // Parse on the worker thread so admission stays O(1).
+  // Parse on the worker thread so admission stays O(1). A pre-parsed
+  // program is moved out: the request is not read for it again.
   dl::Program program;
   if (p->request.program.has_value()) {
-    program = *p->request.program;
+    program = std::move(*p->request.program);
   } else {
     auto parsed = dl::Parse(p->request.program_text);
     if (!parsed.ok()) {

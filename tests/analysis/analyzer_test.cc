@@ -337,14 +337,19 @@ TEST(AnalyzerSafety, VerdictTableRendersEveryMethod) {
 // --- Pass toggles ------------------------------------------------------
 
 TEST(AnalyzerOptions, PassesCanBeDisabled) {
+  // Without the verdict passes there is no safety or cost output, but the
+  // query shape the planner routes from is still recorded.
   AnalyzeOptions options;
-  options.validate = false;
-  options.dependencies = false;
-  options.bindings = false;
   options.counting_safety = false;
-  auto r = AnalyzeSrc("p(X).\n", options);
-  EXPECT_TRUE(r.diagnostics.empty());
+  auto r = AnalyzeSrc(kCyclicCsl, options);
   EXPECT_TRUE(r.ok());
+  EXPECT_EQ(CountCode(r, DiagCode::kQueryClassCsl), 0u);
+  EXPECT_EQ(CountCode(r, DiagCode::kCountingUnsafe), 0u);
+  EXPECT_EQ(r.safety.form, QueryForm::kNotStronglyLinear);
+  EXPECT_TRUE(r.safety.verdicts.empty());
+  EXPECT_FALSE(r.cost.computed);
+  EXPECT_EQ(r.shape.form, QueryForm::kCanonical);
+  EXPECT_EQ(r.shape.csl.ToString(), R"(CSL{P=sg E=flat L=up R=up a="a"})");
 }
 
 TEST(AnalyzerOptions, AdvisoryPassesRunDespiteValidationErrors) {

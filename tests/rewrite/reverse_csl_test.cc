@@ -8,6 +8,7 @@
 #include "core/planner.h"
 #include "datalog/parser.h"
 #include "rewrite/csl.h"
+#include "rewrite/strongly_linear.h"
 #include "workload/generators.h"
 
 namespace mcm::rewrite {
@@ -20,13 +21,13 @@ TEST(ReverseCsl, RecognizesMirroredSignature) {
     p(X, 42)?
   )");
   ASSERT_TRUE(prog.ok());
-  auto rev = RecognizeReverseCsl(*prog, "eswap");
-  ASSERT_TRUE(rev.ok()) << rev.status().ToString();
-  EXPECT_EQ(rev->csl.l, "r");
-  EXPECT_EQ(rev->csl.r, "l");
-  EXPECT_EQ(rev->csl.e, "eswap");
-  EXPECT_EQ(rev->original_e, "e");
-  EXPECT_EQ(rev->csl.source.value, 42);
+  QueryShape rev = RecognizeQueryShape(*prog);
+  ASSERT_EQ(rev.form, QueryForm::kReverseBound);
+  EXPECT_EQ(rev.csl.l, "r");
+  EXPECT_EQ(rev.csl.r, "l");
+  EXPECT_EQ(rev.csl.e, kSwappedE);
+  EXPECT_EQ(rev.original_e, "e");
+  EXPECT_EQ(rev.csl.source.value, 42);
 }
 
 TEST(ReverseCsl, RejectsForwardBoundGoal) {
@@ -36,7 +37,19 @@ TEST(ReverseCsl, RejectsForwardBoundGoal) {
     p(42, Y)?
   )");
   ASSERT_TRUE(prog.ok());
-  EXPECT_FALSE(RecognizeReverseCsl(*prog, "eswap").ok());
+  EXPECT_NE(RecognizeQueryShape(*prog).form, QueryForm::kReverseBound);
+}
+
+// Only the canonical rules are mirrored: a composed L stays outside the
+// reverse-bound form.
+TEST(ReverseCsl, ComposedRulesAreNotMirrored) {
+  auto prog = dl::Parse(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- up(X, Z), up(Z, X1), p(X1, Y1), r(Y, Y1).
+    p(X, 42)?
+  )");
+  ASSERT_TRUE(prog.ok());
+  EXPECT_EQ(RecognizeQueryShape(*prog).form, QueryForm::kNotStronglyLinear);
 }
 
 TEST(ReverseCsl, MaterializeSwappedE) {
